@@ -470,7 +470,14 @@ def base_from_record(record: object) -> LefschetzBase:
 
 def load_catalog_file(path: str | Path) -> list[LefschetzBase]:
     """Load and validate a user catalog; duplicate ids are rejected."""
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read catalog: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"{path}: catalog is not UTF-8 text: {exc.reason} at byte {exc.start}"
+        ) from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -58,6 +58,11 @@ class HodgeUnsupported(CycalcError):
     projective spaces and double covers of projective spaces."""
 
 
+class SizeLimitExceeded(CycalcError):
+    """A Hodge/Hochschild request would exceed the work ceiling; it is refused
+    before any series or table is built."""
+
+
 class ParseError(CycalcError):
     """Catalog file is not valid JSON of the expected shape."""
 

@@ -35,7 +35,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Mapping, Sequence
+from itertools import accumulate, chain, repeat
+from typing import Iterable, Mapping, Sequence
 
 from .catalog import LefschetzBase
 from .constructions import ConstructionKind
@@ -46,7 +47,12 @@ from .errors import (
     InvalidWeights,
     NegativeDimension,
     NotIntegerCY,
+    SizeLimitExceeded,
 )
+
+#: Ceiling on the work of one diamond: the Poincare kernel's coefficient
+#: updates plus the (dim + 1)^2 cells of the Hodge table.
+MAX_HODGE_WORK = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -93,19 +99,24 @@ def jacobian_poincare(weights: Sequence[int], degree: int) -> PoincareSeries:
     """Poincare series of the Fermat member's partial-derivative quotient.
 
     Each variable of weight w contributes the truncated geometric factor
-    1 + t^w + ... + t^(D - 2w); the product is computed by exact integer
-    convolution.  Top degree is sum(D - 2 w_i).
+    1 + t^w + ... + t^((s-1) w) with s = D/w - 1 terms.  Multiplying by it is
+    a running sum with stride w,
+
+        new[i] = old[i] + new[i - w] - old[i - s w],
+
+    so each factor costs O(len) exact integer additions.  Top degree is
+    sum(D - 2 w_i).
     """
     _validate_weights(weights, degree)
     series = [1]
     for w in weights:
-        steps = degree // w - 1  # number of monomials 1, t^w, ..., t^((steps-1) w)
-        product = [0] * (len(series) + (steps - 1) * w)
-        for exponent in range(steps):
-            offset = exponent * w
-            for i, coeff in enumerate(series):
-                product[offset + i] += coeff
-        series = product
+        span = (degree // w - 1) * w  # s w
+        old = series + [0] * (span - w)  # room for the factor's top term t^((s-1) w)
+        # delta[i] = old[i] - old[i - s w]; its stride-w prefix sums are new[i]
+        delta = [a - b for a, b in zip(old, chain(repeat(0, span), old))]
+        series = [0] * len(old)
+        for residue in range(w):
+            series[residue::w] = accumulate(delta[residue::w])
     return PoincareSeries(tuple(series))
 
 
@@ -186,15 +197,43 @@ def _diamond_from_middle(dim_x: int, primitive: Sequence[int]) -> HodgeDiamond:
     return HodgeDiamond(dim_x=n, hodge=tuple(tuple(row) for row in table))
 
 
-def weighted_hypersurface_diamond(weights: Sequence[int], degree: int) -> HodgeDiamond:
-    """Diamond of a quasi-smooth degree-D hypersurface in P(weights)."""
-    if len(weights) < 3:
-        raise InvalidParams("need an ambient space of dimension at least 2")
+def _check_size(dim_x: int, weights: Iterable[int], degree: int) -> None:
+    """Refuse a diamond whose work would exceed :data:`MAX_HODGE_WORK`.
+
+    The work is the table's (dim_x + 1)^2 cells plus the kernel's coefficient
+    updates, i.e. the series length after each factor, summed.  It is counted
+    in O(#weights) steps without allocating anything, and counting stops as
+    soon as the ceiling is passed.
+    """
+    work = (dim_x + 1) ** 2
+    length = 1
+    for w in weights:
+        if work > MAX_HODGE_WORK:
+            break
+        length += (degree // w - 2) * w
+        work += length
+    if work > MAX_HODGE_WORK:
+        raise SizeLimitExceeded(
+            f"a dimension-{dim_x} diamond of degree {degree} needs more than "
+            f"{MAX_HODGE_WORK:,} coefficient updates and table cells; refused"
+        )
+
+
+def _weighted_diamond(weights: Sequence[int], degree: int) -> HodgeDiamond:
     dim_x = len(weights) - 2
     series = jacobian_poincare(weights, degree)
     shift = sum(weights)
     primitive = [series.coefficient((q + 1) * degree - shift) for q in range(dim_x + 1)]
     return _diamond_from_middle(dim_x, primitive)
+
+
+def weighted_hypersurface_diamond(weights: Sequence[int], degree: int) -> HodgeDiamond:
+    """Diamond of a quasi-smooth degree-D hypersurface in P(weights)."""
+    if len(weights) < 3:
+        raise InvalidParams("need an ambient space of dimension at least 2")
+    _validate_weights(weights, degree)  # the size count assumes valid weights
+    _check_size(len(weights) - 2, weights, degree)
+    return _weighted_diamond(weights, degree)
 
 
 def hodge_hypersurface(n: int, d: int) -> HodgeDiamond:
@@ -205,8 +244,10 @@ def hodge_hypersurface(n: int, d: int) -> HodgeDiamond:
         raise InvalidParams(f"degree must be positive, got {d}")
     if d == 1:
         # a hyperplane is P^(n-1); the derivative quotient ring vanishes
+        _check_size(n - 1, (), d)
         return _diamond_from_middle(n - 1, [0] * n)
-    return weighted_hypersurface_diamond((1,) * (n + 1), d)
+    _check_size(n - 1, repeat(1, n + 1), d)
+    return _weighted_diamond((1,) * (n + 1), d)
 
 
 def hodge_double_cover(n: int, d: int) -> HodgeDiamond:
@@ -219,7 +260,8 @@ def hodge_double_cover(n: int, d: int) -> HodgeDiamond:
         raise InvalidParams(f"base projective space must have n >= 2, got {n}")
     if d < 1:
         raise InvalidParams(f"degree must be positive, got {d}")
-    return weighted_hypersurface_diamond((1,) * (n + 1) + (d,), 2 * d)
+    _check_size(n, chain(repeat(1, n + 1), (d,)), 2 * d)
+    return _weighted_diamond((1,) * (n + 1) + (d,), 2 * d)
 
 
 @dataclass(frozen=True)

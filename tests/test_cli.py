@@ -3,6 +3,13 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import cycalc
 
 from cycalc import cli
 from cycalc.catalog import base_to_record, builtin, dump_catalog
@@ -271,6 +278,51 @@ def test_hh_table_mentions_check(capsys):
     assert "PASS" in out
 
 
+def test_oversized_hodge_exits_2_quickly_without_traceback():
+    env = dict(os.environ, PYTHONPATH=str(Path(cycalc.__file__).resolve().parents[1]))
+    for degree in ("5000", "1"):
+        argv = [
+            sys.executable, "-m", "cycalc", "hodge", "--base", "pn", "--n", "10000",
+            "--construction", "divisor", "--degree", degree,
+        ]
+        start = time.perf_counter()
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+        assert time.perf_counter() - start < 10
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+
+
+def test_hodge_self_check_failure_exits_3(capsys, monkeypatch):
+    from cycalc.hodge import HodgeDiamond
+
+    def broken(self):
+        raise AssertionError("h^{0,0} must be 1")
+
+    monkeypatch.setattr(HodgeDiamond, "__post_init__", broken)
+    code, out, err = run(
+        capsys, "hodge", "--base", "pn", "--n", "5",
+        "--construction", "divisor", "--degree", "3",
+    )
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: h^{0,0} must be 1\n"
+
+
+def test_integrality_cross_check_failure_exits_3(capsys, monkeypatch):
+    from cycalc import engine
+
+    honest = engine._integrality_expected
+    monkeypatch.setattr(engine, "_integrality_expected", lambda *a: not honest(*a))
+    code, _, err = run(
+        capsys, "case", "--base", "pn", "--n", "5",
+        "--construction", "divisor", "--degree", "3",
+    )
+    assert code == 3
+    assert err.startswith("internal error: integrality witness disagrees")
+
+
 # ---------------------------------------------------------------------------
 # user catalogs via CYCALC_CATALOG
 # ---------------------------------------------------------------------------
@@ -303,3 +355,22 @@ def test_user_catalog_collision_exit_2(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "catalog")
     assert code == 2
     assert "collides" in err
+
+
+def test_user_catalog_missing_file_exit_2(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "missing.json"
+    monkeypatch.setenv("CYCALC_CATALOG", str(path))
+    code, out, err = run(capsys, "catalog")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {path}: cannot read catalog: No such file or directory\n"
+
+
+def test_user_catalog_not_utf8_exit_2(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "catalog.json"
+    path.write_bytes(b"[\xff\xfe]")
+    monkeypatch.setenv("CYCALC_CATALOG", str(path))
+    code, out, err = run(capsys, "catalog")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {path}: catalog is not UTF-8 text")

@@ -4,7 +4,10 @@ from itertools import combinations_with_replacement
 from math import comb, lcm
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from cycalc import hodge
 from cycalc.catalog import builtin
 from cycalc.constructions import ConstructionKind
 from cycalc.engine import SweepBounds, analyze, iter_cases
@@ -14,9 +17,11 @@ from cycalc.errors import (
     InvalidWeights,
     NegativeDimension,
     NotIntegerCY,
+    SizeLimitExceeded,
 )
 from cycalc.hodge import (
     HHProfile,
+    _validate_weights,
     brute_force_jacobian_dim,
     cy_hh_check,
     diamond_for_case,
@@ -69,6 +74,74 @@ def test_brute_force_examples():
     assert brute_force_jacobian_dim((1,) * 6, 3, 3) == comb(6, 3)
     assert brute_force_jacobian_dim((1, 1, 1, 3), 6, 0) == 1
     assert brute_force_jacobian_dim((1, 1, 1, 3), 6, -2) == 0
+
+
+def convolution_poincare(weights, degree):
+    """Slow oracle for :func:`jacobian_poincare`: each factor is applied as a
+    full convolution, one shifted copy of the series per monomial, costing
+    O(steps * len) per factor."""
+    _validate_weights(weights, degree)
+    series = [1]
+    for w in weights:
+        steps = degree // w - 1  # number of monomials 1, t^w, ..., t^((steps-1) w)
+        product = [0] * (len(series) + (steps - 1) * w)
+        for exponent in range(steps):
+            offset = exponent * w
+            for i, coeff in enumerate(series):
+                product[offset + i] += coeff
+        series = product
+    return hodge.PoincareSeries(tuple(series))
+
+
+@st.composite
+def fermat_weight_systems(draw):
+    """1-7 weights in 1..8 dividing a degree D > max(w), with D <= 48."""
+    degree = draw(st.integers(2, 48))
+    divisors = [w for w in range(1, 9) if degree % w == 0 and w < degree]
+    weights = draw(st.lists(st.sampled_from(divisors), min_size=1, max_size=7))
+    return tuple(weights), degree
+
+
+@settings(deadline=None)
+@given(system=fermat_weight_systems(), data=st.data())
+@example(system=((1, 1, 1, 3), 6), data=None)  # double sextic: the weight-3 factor is 1
+@example(system=((2, 4, 8), 16), data=None)
+@example(system=((1,), 2), data=None)
+def test_kernel_matches_convolution_and_enumeration_oracles(system, data):
+    weights, degree = system
+    series = jacobian_poincare(weights, degree)
+    assert series == convolution_poincare(weights, degree)
+    top = sum(degree - 2 * w for w in weights)
+    assert series.degree == top
+    targets = [0, top, top + 1]
+    if data is not None:
+        targets += data.draw(st.lists(st.integers(0, top), max_size=3), label="targets")
+    for target in targets:
+        assert series.coefficient(target) == brute_force_jacobian_dim(weights, degree, target)
+
+
+def _outcome(kernel, weights, degree):
+    try:
+        return kernel(weights, degree).coefficients
+    except InvalidWeights as exc:
+        return InvalidWeights, str(exc)
+
+
+@settings(deadline=None)
+@given(weights=st.lists(st.integers(-2, 9), max_size=4), degree=st.integers(-3, 24))
+@example(weights=[], degree=6)
+@example(weights=[0, 1], degree=6)
+@example(weights=[1, 4], degree=6)
+@example(weights=[1, 6], degree=6)
+def test_kernel_and_oracle_accept_and_reject_the_same_inputs(weights, degree):
+    assert _outcome(jacobian_poincare, weights, degree) == _outcome(
+        convolution_poincare, weights, degree
+    )
+
+
+def test_kernel_matches_convolution_for_degree_40_in_p40():
+    weights = (1,) * 41
+    assert jacobian_poincare(weights, 40) == convolution_poincare(weights, 40)
 
 
 def oracle_weight_systems(sum_cap=60):
@@ -187,6 +260,41 @@ def test_diamond_symmetries_hold_for_a_sweep():
                 for q in range(dim + 1):
                     assert diamond.h(p, q) == diamond.h(q, p)
                     assert diamond.h(p, q) == diamond.h(dim - p, dim - q)
+
+
+def test_size_ceiling_counts_table_cells_and_series_updates(monkeypatch):
+    # cubic fourfold: 5 x 5 table cells, and six factors (1 + t) give series
+    # of lengths 2, 3, ..., 7
+    work = 25 + sum(range(2, 8))
+    monkeypatch.setattr(hodge, "MAX_HODGE_WORK", work)
+    assert hodge_hypersurface(5, 3).h(2, 2) == 21
+    monkeypatch.setattr(hodge, "MAX_HODGE_WORK", work - 1)
+    with pytest.raises(SizeLimitExceeded):
+        hodge_hypersurface(5, 3)
+
+
+def test_size_ceiling_refuses_huge_requests_before_allocating():
+    with pytest.raises(SizeLimitExceeded):
+        hodge_hypersurface(10_000, 5_000)
+    with pytest.raises(SizeLimitExceeded):
+        hodge_hypersurface(10_000, 1)
+    with pytest.raises(SizeLimitExceeded):
+        hodge_double_cover(10**12, 3)  # unit weights are never materialized
+    with pytest.raises(SizeLimitExceeded):
+        weighted_hypersurface_diamond((1, 1, 200_000, 200_000), 400_000)
+
+
+def test_size_ceiling_admits_the_projective_range_in_use():
+    for n in (44, 45):
+        for d in (n, n + 1):
+            hodge_hypersurface(n, d)
+            hodge_double_cover(n, d)
+    weighted_hypersurface_diamond((1, 1, 1, 3), 12)
+
+
+def test_size_ceiling_leaves_weight_errors_to_validation():
+    with pytest.raises(InvalidWeights):
+        weighted_hypersurface_diamond((1, 1, 7), 4_000_000)
 
 
 # ---------------------------------------------------------------------------
