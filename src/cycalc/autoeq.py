@@ -99,11 +99,6 @@ class NormalForm:
     def is_identity(self) -> bool:
         return self == NormalForm.identity()
 
-    @property
-    def is_pure_shift(self) -> bool:
-        """True when the form is ``[shift]`` with no twist and no parity."""
-        return self.ltwist == 0 and self.tau == 0 and self.chi == 0
-
     def __str__(self) -> str:
         parts = []
         if self.ltwist:
@@ -133,9 +128,6 @@ class Word:
     """
 
     factors: tuple[tuple[Generator, int], ...] = ()
-
-    def __mul__(self, other: "Word") -> "Word":
-        return Word(self.factors + other.factors)
 
 
 def resolve(word: Word, table: Mapping[Generator, NormalForm] | None = None) -> NormalForm:

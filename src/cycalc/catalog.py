@@ -39,7 +39,7 @@ homogeneous fixed entries) rather than a member of an infinite family here.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
@@ -49,7 +49,11 @@ from .errors import InvalidParams, ParseError, UnknownBase, ValidationError
 
 @dataclass(frozen=True)
 class LefschetzBase:
-    """Numerical data of one rectangular Lefschetz decomposition."""
+    """Numerical data of one rectangular Lefschetz decomposition.
+
+    ``parameters`` may be given as a mapping or as ``(name, value)`` pairs; it
+    is stored as a tuple of pairs in the order given, so bases are hashable.
+    """
 
     id: str
     display_name: str
@@ -58,7 +62,7 @@ class LefschetzBase:
     rank_b: int
     line_bundle_note: str
     omega_is_l_minus_m: bool = True
-    parameters: Mapping[str, int] = field(default_factory=dict)
+    parameters: tuple[tuple[str, int], ...] = ()
     chi_stable: bool = True
 
     def __post_init__(self) -> None:
@@ -68,23 +72,11 @@ class LefschetzBase:
             raise ValidationError(f"rank_b must be >= 1, got {self.rank_b}")
         if self.dim_m < 0:
             raise ValidationError(f"dim_m must be >= 0, got {self.dim_m}")
-
-    @property
-    def hodge_supported(self) -> bool:
-        """Hodge machinery exists only for (weighted) projective spaces."""
-        return self.id in ("pn", "wpn")
+        object.__setattr__(self, "parameters", tuple(dict(self.parameters).items()))
 
     def param_key(self) -> tuple[int, ...]:
-        """Canonical parameter tuple used as a deterministic sort key."""
-        family = FAMILIES.get(self.id)
-        if family is not None and family.param_names:
-            if self.id == "wpn":
-                return tuple(
-                    self.parameters[k]
-                    for k in sorted(self.parameters, key=lambda s: int(s[1:]))
-                )
-            return tuple(self.parameters[name] for name in family.param_names)
-        return tuple(v for _, v in sorted(self.parameters.items()))
+        """Parameter values in stored order, used as a deterministic sort key."""
+        return tuple(v for _, v in self.parameters)
 
 
 def fonarev_rank(k: int, n: int) -> int:
@@ -250,7 +242,11 @@ def _make_igr2(params: Mapping[str, int]) -> LefschetzBase:
     )
 
 
-def _fixed(base_id: str, display: str, dim_m: int, m: int, rank: int, note: str) -> Callable[[Mapping[str, int]], LefschetzBase]:
+def _fixed(
+    base_id: str, name: str, display: str, dim_m: int, m: int, rank: int, note: str
+) -> Family:
+    """A parameterless family: catalog name, base name, dim M, m, rk B, note."""
+
     def make(params: Mapping[str, int]) -> LefschetzBase:
         _require_params(base_id, params, ())
         return LefschetzBase(
@@ -260,10 +256,9 @@ def _fixed(base_id: str, display: str, dim_m: int, m: int, rank: int, note: str)
             length_m=m,
             rank_b=rank,
             line_bundle_note=note,
-            parameters={},
         )
 
-    return make
+    return Family(base_id, name, (), str(dim_m), str(m), str(rank), note, make)
 
 
 FAMILIES: dict[str, Family] = {
@@ -310,35 +305,17 @@ FAMILIES: dict[str, Family] = {
             "O(1)",
             _make_ogr2,
         ),
-        Family(
-            "sgr36",
-            "symplectic Grassmannian SGr(3,6)",
-            (),
-            "6",
-            "4",
-            "2",
+        _fixed(
+            "sgr36", "symplectic Grassmannian SGr(3,6)", "SGr(3,6)", 6, 4, 2,
             "O(1); block = O, U^v",
-            _fixed("sgr36", "SGr(3,6)", 6, 4, 2, "O(1); block = O, U^v"),
         ),
-        Family(
-            "ogr510",
-            "spinor tenfold OGr+(5,10)",
-            (),
-            "10",
-            "8",
-            "2",
+        _fixed(
+            "ogr510", "spinor tenfold OGr+(5,10)", "OGr+(5,10)", 10, 8, 2,
             "spinor O(1); block = O, U^v",
-            _fixed("ogr510", "OGr+(5,10)", 10, 8, 2, "spinor O(1); block = O, U^v"),
         ),
-        Family(
-            "g2gr",
-            "adjoint Grassmannian of type G2",
-            (),
-            "5",
-            "3",
-            "2",
+        _fixed(
+            "g2gr", "adjoint Grassmannian of type G2", "G2-Gr(2,7)", 5, 3, 2,
             "O(1); block = O, U^v",
-            _fixed("g2gr", "G2-Gr(2,7)", 5, 3, 2, "O(1); block = O, U^v"),
         ),
         Family(
             "igr2",
@@ -350,32 +327,13 @@ FAMILIES: dict[str, Family] = {
             "O(1)",
             _make_igr2,
         ),
-        Family(
-            "gr26_L2",
-            "Gr(2,6) with the square polarization",
-            (),
-            "8",
-            "3",
-            "5",
+        _fixed(
+            "gr26_L2", "Gr(2,6) with the square polarization", "Gr(2,6), L=O(2)", 8, 3, 5,
             "Pluecker O(2); block = O, U^v, S^2 U^v, O(1), U^v(1)",
-            _fixed(
-                "gr26_L2",
-                "Gr(2,6), L=O(2)",
-                8,
-                3,
-                5,
-                "Pluecker O(2); block = O, U^v, S^2 U^v, O(1), U^v(1)",
-            ),
         ),
-        Family(
-            "p3xp3",
-            "product P^3 x P^3",
-            (),
-            "6",
-            "4",
-            "4",
+        _fixed(
+            "p3xp3", "product P^3 x P^3", "P^3 x P^3", 6, 4, 4,
             "O(1,1) (companion entry)",
-            _fixed("p3xp3", "P^3 x P^3", 6, 4, 4, "O(1,1) (companion entry)"),
         ),
     )
 }
@@ -463,7 +421,7 @@ def base_from_record(record: object) -> LefschetzBase:
         rank_b=_check_int(entry_id, "rank_b", record["rank_b"]),
         line_bundle_note=record["line_bundle_note"],
         omega_is_l_minus_m=record["omega_is_l_minus_m"],
-        parameters=dict(params),
+        parameters=params,
         chi_stable=chi_stable,
     )
 
@@ -510,22 +468,3 @@ def merge_user_catalog(user_bases: Iterable[LefschetzBase]) -> list[LefschetzBas
             )
         merged.append(base)
     return merged
-
-
-def _startup_check() -> None:
-    """Every builtin entry must satisfy the canonical-bundle hypothesis."""
-    representatives = {
-        "pn": {"n": 1},
-        "wpn": {"w0": 1, "w1": 1},
-        "quadric4s2": {"s": 1},
-        "gr": {"k": 2, "n": 5},
-        "ogr2": {"n": 2},
-        "igr2": {"n": 2},
-    }
-    for family_id in FAMILIES:
-        base = builtin(family_id, representatives.get(family_id))
-        if not base.omega_is_l_minus_m or not base.chi_stable:
-            raise AssertionError(f"builtin base {family_id!r} violates a standing hypothesis")
-
-
-_startup_check()

@@ -29,8 +29,6 @@ from .constructions import ALL_KINDS, ConstructionKind
 from .engine import (
     SweepBounds,
     analyze,
-    iter_cases,
-    negative_dimension_cases,
     sweep,
     verify_cross_check,
 )
@@ -217,7 +215,7 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
                 "schema_version": records.SCHEMA_VERSION,
                 "id": base.id,
                 "display_name": base.display_name,
-                "parameters": ",".join(f"{k}={v}" for k, v in sorted(base.parameters.items())),
+                "parameters": ",".join(f"{k}={v}" for k, v in sorted(base.parameters)),
                 "dim_m": str(base.dim_m),
                 "length_m": str(base.length_m),
                 "rank_b": str(base.rank_b),
@@ -246,17 +244,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    bounds = _bounds(args, default_kinds=ALL_KINDS)
-    report = verify_cross_check(bounds)
+    report = verify_cross_check(_bounds(args, default_kinds=ALL_KINDS))
     print(f"{len(report.mismatches)} mismatches / {report.cases} cases")
     for base_id, params, kind, d in report.mismatches:
         print(f"  MISMATCH {base_id} {params} {kind} d={d}")
-    negatives = negative_dimension_cases(iter_cases(bounds))
     hyperplane_only = all(
-        case.kind is ConstructionKind.DIVISOR and case.d == 1 for case in negatives
+        case.kind is ConstructionKind.DIVISOR and case.d == 1 for case in report.negatives
     )
     print(
-        f"nonnegativity: {len(negatives)} integer cases with negative dimension, "
+        f"nonnegativity: {len(report.negatives)} integer cases with negative dimension, "
         f"all hyperplane-type (divisor, d=1): {'yes' if hyperplane_only else 'NO'}"
     )
     return EXIT_OK if report.ok else EXIT_INTERNAL
@@ -342,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="cross-check word algebra against closed forms over the catalog"
     )
     _add_bounds_args(p_verify)
-    _add_format(p_verify)
     p_verify.set_defaults(func=_cmd_verify)
 
     p_hodge = sub.add_parser("hodge", help="Hodge diamond of the total space of a case")

@@ -86,10 +86,9 @@ class SubstitutionTable:
             raise AssertionError("serre_twist entry inconsistent with S . T . L^m")
 
 
-def substitution_table(kind: ConstructionKind, d: int, base: LefschetzBase) -> SubstitutionTable:
-    """Build the resolved table for (kind, d) on the given base."""
+def check_case(kind: ConstructionKind, d: int, base: LefschetzBase) -> None:
+    """Raise unless the construction of degree d exists on the base."""
     m = base.length_m
-    n = base.dim_m
     if not 1 <= d <= m:
         raise DegreeOutOfRange(f"degree must satisfy 1 <= d <= {m}, got d={d}")
     if not base.omega_is_l_minus_m:
@@ -103,6 +102,12 @@ def substitution_table(kind: ConstructionKind, d: int, base: LefschetzBase) -> S
             "the root-stack construction needs a character-stable block"
         )
 
+
+def substitution_table(kind: ConstructionKind, d: int, base: LefschetzBase) -> SubstitutionTable:
+    """Build the resolved table for (kind, d) on the given base."""
+    check_case(kind, d, base)
+    m = base.length_m
+    n = base.dim_m
     if kind is ConstructionKind.DIVISOR:
         twist = NormalForm(shift=2, ltwist=-d)
         serre = NormalForm(shift=n - 1, ltwist=d - m)

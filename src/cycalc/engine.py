@@ -35,7 +35,7 @@ from typing import Iterable, Iterator
 
 from .autoeq import Generator, NormalForm, Word, resolve
 from .catalog import LefschetzBase, builtin
-from .constructions import ALL_KINDS, ConstructionKind, substitution_table
+from .constructions import ALL_KINDS, ConstructionKind, check_case, substitution_table
 from .errors import CycalcError, NotPureShiftable
 
 KIND_ORDER = {kind: index for index, kind in enumerate(ALL_KINDS)}
@@ -100,8 +100,7 @@ def closed_form(base: LefschetzBase, kind: ConstructionKind, d: int) -> NormalFo
     double cover:  tau^((m-d)/c) [ (dim M + 1) d/c - m/c ]
     root stack:    chi^(m/c)     [ (dim M + 1) d/c - m/c ]
     """
-    # run the same validation as the word path
-    substitution_table(kind, d, base)
+    check_case(kind, d, base)
     m = base.length_m
     n = base.dim_m
     c = gcd(d, m)
@@ -330,6 +329,7 @@ def sweep(
 class VerifyReport:
     cases: int
     mismatches: tuple[tuple[str, tuple, str, int], ...]
+    negatives: tuple[CaseResult, ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -337,23 +337,40 @@ class VerifyReport:
 
 
 def verify_cross_check(bounds: SweepBounds | None = None) -> VerifyReport:
-    """Compare the word-algebra path against the closed forms everywhere."""
+    """Compare the word-algebra path against the closed forms everywhere.
+
+    The same pass collects the integer cases of negative dimension (see
+    :func:`negative_dimension_cases`) into ``negatives``.
+    """
     if bounds is None:
         bounds = SweepBounds(kinds=ALL_KINDS)
     total = 0
     mismatches = []
+    negatives = []
     for base in iter_sweep_bases(bounds):
         for kind in bounds.kinds:
             for d in range(1, base.length_m + 1):
                 total += 1
                 try:
-                    via_word = serre_power(base, kind, d)
+                    case = analyze(base, kind, d)
                     via_formula = closed_form(base, kind, d)
                 except CycalcError:
                     continue
-                if via_word != via_formula:
+                if case.serre_power_nf != via_formula:
                     mismatches.append((base.id, base.param_key(), kind.value, d))
-    return VerifyReport(cases=total, mismatches=tuple(mismatches))
+                if _is_negative_dimension(case):
+                    negatives.append(case)
+    return VerifyReport(cases=total, mismatches=tuple(mismatches), negatives=tuple(negatives))
+
+
+def _is_negative_dimension(case: CaseResult) -> bool:
+    return (
+        case.error is None
+        and case.is_integer_cy
+        and not case.component_is_whole
+        and case.witness is not None
+        and case.witness.p < 0
+    )
 
 
 def negative_dimension_cases(cases: Iterable[CaseResult]) -> list[CaseResult]:
@@ -364,12 +381,4 @@ def negative_dimension_cases(cases: Iterable[CaseResult]) -> list[CaseResult]:
     exactly the hyperplane-type cases (divisor, d = 1) whose induced blocks
     already exhaust the derived category.
     """
-    return [
-        case
-        for case in cases
-        if case.error is None
-        and case.is_integer_cy
-        and not case.component_is_whole
-        and case.witness is not None
-        and case.witness.p < 0
-    ]
+    return [case for case in cases if _is_negative_dimension(case)]

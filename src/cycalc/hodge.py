@@ -376,15 +376,11 @@ def diamond_for_case(case: CaseResult) -> HodgeDiamond:
     if case.kind is ConstructionKind.ROOT_STACK:
         raise HodgeUnsupported("root-stack cases carry twisted sectors; not computed")
     if base.id == "pn":
-        n = base.parameters["n"]
         if case.kind is ConstructionKind.DIVISOR:
-            return hodge_hypersurface(n, case.d)
-        return hodge_double_cover(n, case.d)
+            return hodge_hypersurface(base.dim_m, case.d)
+        return hodge_double_cover(base.dim_m, case.d)
     if base.id == "wpn" and case.kind is ConstructionKind.DIVISOR:
-        weights = tuple(
-            base.parameters[k] for k in sorted(base.parameters, key=lambda s: int(s[1:]))
-        )
-        return weighted_hypersurface_diamond(weights, case.d)
+        return weighted_hypersurface_diamond(base.param_key(), case.d)
     raise HodgeUnsupported(
         f"no Hodge machinery for base {base.id!r} with construction {case.kind.value!r}"
     )

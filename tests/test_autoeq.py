@@ -146,12 +146,6 @@ def test_resolve_is_permutation_invariant(factors, rng):
     assert resolve(word, TABLE) == resolve(permuted, TABLE)
 
 
-def test_word_multiplication_concatenates():
-    w1 = Word(((Generator.SHIFT, 1),))
-    w2 = Word(((Generator.LINE_TWIST, 2),))
-    assert resolve(w1 * w2) == NormalForm(shift=1, ltwist=2)
-
-
 def test_base_generator_set():
     assert Generator.SHIFT in BASE_GENERATORS
     assert Generator.COMP_TWIST not in BASE_GENERATORS

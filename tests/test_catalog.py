@@ -1,5 +1,6 @@
 """Builtin catalog, block-rank combinatorics, and the catalog file format."""
 
+import dataclasses
 import json
 from math import comb, gcd
 
@@ -70,7 +71,7 @@ def test_ogr2_and_igr2_dimensions():
 
 def test_wpn_weights_canonicalized():
     base = builtin("wpn", {"w0": 3, "w1": 1, "w2": 1, "w3": 1})
-    assert base.parameters == {"w0": 1, "w1": 1, "w2": 1, "w3": 3}
+    assert base.parameters == (("w0", 1), ("w1", 1), ("w2", 1), ("w3", 3))
     assert base.dim_m == 3
     assert base.length_m == 6
     assert base.display_name == "P(1,1,1,3)"
@@ -148,11 +149,50 @@ def test_all_builtins_satisfy_canonical_hypothesis():
         assert base.chi_stable
 
 
-def test_hodge_supported_flag():
-    assert builtin("pn", {"n": 3}).hodge_supported
-    assert builtin("wpn", {"w0": 1, "w1": 1, "w2": 2}).hodge_supported
-    assert not builtin("gr", {"k": 2, "n": 5}).hodge_supported
-    assert not builtin("sgr36").hodge_supported
+REPRESENTATIVES = {
+    "pn": {"n": 2},
+    "wpn": {"w0": 2, "w1": 1, "w2": 1},
+    "quadric4s2": {"s": 1},
+    "gr": {"k": 2, "n": 5},
+    "ogr2": {"n": 3},
+    "igr2": {"n": 3},
+}
+
+
+def test_builtin_bases_are_hashable():
+    for family_id in BUILTIN_IDS:
+        base = builtin(family_id, REPRESENTATIVES.get(family_id))
+        twin = builtin(family_id, REPRESENTATIVES.get(family_id))
+        assert hash(base) == hash(twin)
+        assert twin in {base}
+    assert builtin("pn", {"n": 3}) not in {builtin("pn", {"n": 2})}
+
+
+def test_parameters_are_read_only():
+    base = builtin("pn", {"n": 2})
+    with pytest.raises(TypeError):
+        base.parameters["n"] = 99
+    assert base.parameters == (("n", 2),)
+
+
+def test_twelve_weights_keep_index_order():
+    names = [f"w{i}" for i in range(12)]
+    base = builtin("wpn", dict(zip(reversed(names), range(1, 13))))
+    assert [name for name, _ in base.parameters] == names
+    assert base.param_key() == tuple(range(1, 13))
+
+
+def test_replace_normalises_parameters():
+    base = dataclasses.replace(builtin("pn", {"n": 2}), parameters={"n": 7})
+    assert base.parameters == (("n", 7),)
+    assert base in {base}
+
+
+def test_user_base_parameters_keep_given_order():
+    base = LefschetzBase("mine", "mine", 3, 4, 1, "O(1)", parameters={"z": 3, "a": 1})
+    assert base.parameters == (("z", 3), ("a", 1))
+    assert base.param_key() == (3, 1)
+    assert base_to_record(base)["parameters"] == {"z": 3, "a": 1}
 
 
 # ---------------------------------------------------------------------------

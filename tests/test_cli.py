@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, formats, determinism, user catalogs."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -211,6 +212,62 @@ def test_verify_fault_injection_exit_3(capsys, monkeypatch):
     assert "MISMATCH" in out
 
 
+def test_verify_rejects_format_as_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "--families", "pn", "--max-n", "4", "--format", "json")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage: ")
+    assert "unrecognized arguments: --format json" in err
+
+
+def test_case_json_keeps_twelve_weights_in_index_order(capsys):
+    weights = ",".join(str(w) for w in range(12, 0, -1))
+    code, out, _ = run(
+        capsys, "case", "--base", "wpn", "--weights", weights,
+        "--construction", "divisor", "--degree", "3", "--format", "json",
+    )
+    assert code == 0
+    (record,) = json.loads(out)["records"]
+    assert list(record["params"].items()) == [(f"w{i}", i + 1) for i in range(12)]
+
+
+# sha256 of stdout for representative commands.  A change to any of these
+# outputs must be deliberate: update the digest and record why in CHANGES.md.
+STDOUT_SHA256 = [
+    (
+        ("catalog", "--format", "json"),
+        "d8d1fc776d9c0ad5c8a6672164241f54a2a946f7a9ccbac6899db36aed59ba0a",
+    ),
+    (
+        ("sweep", "--format", "json"),
+        "7a74f789656c095dcf56178d0fb2562e335df8f592dfb7e3604208817064c2e2",
+    ),
+    (
+        (
+            "sweep", "--include-weighted", "--families", "wpn",
+            "--max-weight-sum", "12", "--format", "json",
+        ),
+        "619a4fc424dd3c0c4a6ebf5607b4fd5a61a5c4fefcf874a51447a51028f5bb7f",
+    ),
+    (("verify",), "25dab76196ca6683a76b8bd172937bc25a47d58fed3704eb36436b386ae559d7"),
+    (
+        (
+            "hh", "--base", "pn", "--n", "5",
+            "--construction", "divisor", "--degree", "3", "--format", "json",
+        ),
+        "1c08df649f986c47bfe3e505836e9e90dd40e394c205a6fb39066dfa4f6a6782",
+    ),
+]
+
+
+def test_stdout_is_byte_identical_to_recorded_digests(capsys, monkeypatch):
+    monkeypatch.delenv("CYCALC_CATALOG", raising=False)
+    for argv, digest in STDOUT_SHA256:
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, argv
+
+
 # ---------------------------------------------------------------------------
 # hodge / hh
 # ---------------------------------------------------------------------------
@@ -346,6 +403,25 @@ def test_user_catalog_merges(tmp_path, capsys, monkeypatch):
     )
     assert code == 0
     assert json.loads(out)["records"][0]["cy_dimension"] == "2"
+
+
+def test_user_catalog_parameters_in_catalog_and_case(tmp_path, capsys, monkeypatch):
+    record = base_to_record(builtin("pn", {"n": 5}))
+    record.update(id="mybase", parameters={"z": 3, "a": 1})
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps([record]), encoding="utf-8")
+    monkeypatch.setenv("CYCALC_CATALOG", str(path))
+
+    code, out, _ = run(capsys, "catalog", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["records"][-1]["parameters"] == "a=1,z=3"
+
+    code, out, _ = run(
+        capsys, "case", "--base", "mybase",
+        "--construction", "divisor", "--degree", "3", "--format", "json",
+    )
+    assert code == 0
+    assert list(json.loads(out)["records"][0]["params"].items()) == [("z", 3), ("a", 1)]
 
 
 def test_user_catalog_collision_exit_2(tmp_path, capsys, monkeypatch):

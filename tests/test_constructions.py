@@ -9,9 +9,10 @@ from cycalc.catalog import builtin
 from cycalc.constructions import (
     ALL_KINDS,
     ConstructionKind,
+    check_case,
     substitution_table,
 )
-from cycalc.engine import SweepBounds, iter_sweep_bases
+from cycalc.engine import SweepBounds, closed_form, iter_sweep_bases
 from cycalc.errors import (
     DegreeOutOfRange,
     HypothesisViolation,
@@ -117,6 +118,36 @@ def test_root_requires_character_stability():
     # the other constructions do not care
     substitution_table(ConstructionKind.DIVISOR, 2, base)
     substitution_table(ConstructionKind.DOUBLE_COVER, 2, base)
+
+
+INVALID_CASES = [
+    (ConstructionKind.DIVISOR, 0, builtin("pn", {"n": 5})),
+    (ConstructionKind.DOUBLE_COVER, 7, builtin("pn", {"n": 5})),
+    (
+        ConstructionKind.DIVISOR,
+        2,
+        dataclasses.replace(builtin("pn", {"n": 5}), omega_is_l_minus_m=False),
+    ),
+    (
+        ConstructionKind.ROOT_STACK,
+        2,
+        dataclasses.replace(builtin("pn", {"n": 5}), chi_stable=False),
+    ),
+]
+
+
+@pytest.mark.parametrize("kind, d, base", INVALID_CASES)
+def test_closed_form_rejects_what_the_table_rejects(kind, d, base):
+    with pytest.raises(Exception) as from_table:
+        substitution_table(kind, d, base)
+    with pytest.raises(Exception) as from_formula:
+        closed_form(base, kind, d)
+    with pytest.raises(Exception) as from_guard:
+        check_case(kind, d, base)
+    assert from_table.type in (DegreeOutOfRange, HypothesisViolation)
+    assert from_formula.type is from_table.type
+    assert from_guard.type is from_table.type
+    assert str(from_formula.value) == str(from_table.value)
 
 
 def test_cyclic_cover_degree_guard():

@@ -17,6 +17,7 @@ from cycalc.engine import (
     extract_witness,
     iter_cases,
     iter_sweep_bases,
+    negative_dimension_cases,
     serre_power,
     verify_cross_check,
 )
@@ -157,6 +158,35 @@ def test_verify_cross_check_pn_only():
     report = verify_cross_check(SweepBounds(families=("pn",), kinds=ALL_KINDS))
     assert report.ok
     assert report.cases == sum(3 * (n + 1) for n in range(1, 31))
+
+
+@pytest.mark.parametrize(
+    "bounds, cases, negatives",
+    [
+        (SweepBounds(max_n=12, igr2_min_n=2, kinds=ALL_KINDS), 1557, 31),
+        (
+            SweepBounds(
+                include_weighted=True, families=("wpn",), max_weight_sum=10, kinds=ALL_KINDS
+            ),
+            3153,
+            407,
+        ),
+    ],
+)
+def test_verify_negatives_match_the_sweep_oracle(bounds, cases, negatives):
+    report = verify_cross_check(bounds)
+    assert report.ok
+    assert report.cases == cases == sum(1 for _ in iter_cases(bounds))
+    assert report.negatives == tuple(negative_dimension_cases(iter_cases(bounds)))
+    assert len(report.negatives) == negatives
+
+
+def test_case_results_are_hashable():
+    case = analyze(builtin("pn", {"n": 5}), DIV, 3)
+    twin = analyze(builtin("pn", {"n": 5}), DIV, 3)
+    assert hash(case) == hash(twin)
+    assert twin in {case}
+    assert analyze(builtin("pn", {"n": 5}), DIV, 2) not in {case}
 
 
 def test_whole_component_power_equals_source_serre_functor():

@@ -406,7 +406,7 @@ def test_integer_cy_checks_over_projective_bases():
     for case in iter_cases(bounds):
         if case.error is not None or not case.is_integer_cy:
             continue
-        if case.base.parameters["n"] < 2:
+        if dict(case.base.parameters)["n"] < 2:
             continue  # no ambient Hodge machinery below P^2
         pipeline = hh_pipeline(case)
         if pipeline.hh_component.total() == 0:

@@ -108,7 +108,7 @@ def test_weighted_bases_opt_in():
     results = sweep(bounds)
     assert results
     assert all(c.base.id == "wpn" for c in results)
-    sums = {sum(c.base.parameters.values()) for c in results}
+    sums = {sum(value for _, value in c.base.parameters) for c in results}
     assert max(sums) <= 6
 
 
