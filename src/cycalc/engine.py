@@ -329,7 +329,7 @@ def sweep(
 class VerifyReport:
     cases: int
     mismatches: tuple[tuple[str, tuple, str, int], ...]
-    negatives: tuple[CaseResult, ...] = ()
+    negatives: tuple[CaseResult, ...]
 
     @property
     def ok(self) -> bool:
@@ -352,9 +352,15 @@ def verify_cross_check(bounds: SweepBounds | None = None) -> VerifyReport:
             for d in range(1, base.length_m + 1):
                 total += 1
                 try:
-                    case = analyze(base, kind, d)
                     via_formula = closed_form(base, kind, d)
                 except CycalcError:
+                    continue  # the construction does not exist on this base
+                try:
+                    case = analyze(base, kind, d)
+                except CycalcError:
+                    # the case is valid, so a failure of the word path is a
+                    # disagreement (e.g. a line twist left in the normal form)
+                    mismatches.append((base.id, base.param_key(), kind.value, d))
                     continue
                 if case.serre_power_nf != via_formula:
                     mismatches.append((base.id, base.param_key(), kind.value, d))

@@ -212,6 +212,23 @@ def test_verify_fault_injection_exit_3(capsys, monkeypatch):
     assert "MISMATCH" in out
 
 
+def test_verify_word_path_line_twist_fault_exit_3(capsys, monkeypatch):
+    from cycalc import engine
+    from cycalc.autoeq import NormalForm
+
+    honest = engine.serre_power
+
+    def twisted(base, kind, d):
+        nf = honest(base, kind, d)
+        return NormalForm(shift=nf.shift, ltwist=nf.ltwist + 1, tau=nf.tau, chi=nf.chi)
+
+    monkeypatch.setattr(engine, "serre_power", twisted)
+    code, out, _ = run(capsys, "verify", "--families", "pn", "--max-n", "4")
+    assert code == 3
+    assert out.startswith("42 mismatches / 42 cases\n")
+    assert "MISMATCH pn (1,) divisor d=1" in out
+
+
 def test_verify_rejects_format_as_usage_error(capsys):
     code, out, err = run(capsys, "verify", "--families", "pn", "--max-n", "4", "--format", "json")
     assert code == 1

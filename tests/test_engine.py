@@ -317,3 +317,19 @@ def test_randomized_grassmannian_double_covers():
             ((k * (n - k) + 1) * d - n) // c, (n - d) // c, d // c
         )
         assert (case.witness.p, case.witness.q) == expected
+
+
+def test_verify_counts_a_failing_word_path_as_a_mismatch(monkeypatch):
+    from cycalc import engine
+
+    honest = engine.serre_power
+
+    def twisted(base, kind, d):
+        nf = honest(base, kind, d)
+        return NormalForm(shift=nf.shift, ltwist=nf.ltwist + 1, tau=nf.tau, chi=nf.chi)
+
+    monkeypatch.setattr(engine, "serre_power", twisted)
+    report = verify_cross_check(SweepBounds(families=("pn",), max_n=4, kinds=ALL_KINDS))
+    assert not report.ok
+    assert len(report.mismatches) == report.cases == 42
+    assert report.negatives == ()
