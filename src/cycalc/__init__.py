@@ -27,7 +27,6 @@ from .hodge import (
     HHProfile,
     HodgeDiamond,
     PoincareSeries,
-    brute_force_jacobian_dim,
     cy_hh_check,
     hh_component,
     hh_pipeline,
@@ -55,7 +54,6 @@ __all__ = [
     "SweepBounds",
     "Word",
     "analyze",
-    "brute_force_jacobian_dim",
     "builtin",
     "closed_form",
     "cy_hh_check",

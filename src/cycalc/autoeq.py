@@ -53,12 +53,6 @@ class Generator(enum.Enum):
     SERRE_TWIST = "serre_twist"
 
 
-#: Generators that resolve without a substitution table.
-BASE_GENERATORS = frozenset(
-    {Generator.SHIFT, Generator.LINE_TWIST, Generator.INVOLUTION, Generator.CHARACTER}
-)
-
-
 @dataclass(frozen=True)
 class NormalForm:
     """Element (shift, L-twist, tau parity, chi parity) of the resolved group.
@@ -76,10 +70,6 @@ class NormalForm:
         object.__setattr__(self, "tau", self.tau % 2)
         object.__setattr__(self, "chi", self.chi % 2)
 
-    @classmethod
-    def identity(cls) -> "NormalForm":
-        return cls(0, 0, 0, 0)
-
     def compose(self, other: "NormalForm") -> "NormalForm":
         return NormalForm(
             self.shift + other.shift,
@@ -92,13 +82,6 @@ class NormalForm:
         """k-fold composition; k may be negative or zero."""
         return NormalForm(k * self.shift, k * self.ltwist, k * self.tau, k * self.chi)
 
-    def inverse(self) -> "NormalForm":
-        return self.power(-1)
-
-    @property
-    def is_identity(self) -> bool:
-        return self == NormalForm.identity()
-
     def __str__(self) -> str:
         parts = []
         if self.ltwist:
@@ -107,7 +90,7 @@ class NormalForm:
         return " ".join(parts)
 
 
-IDENTITY = NormalForm.identity()
+IDENTITY = NormalForm()
 
 #: Normal forms of the intrinsically resolvable generators.
 _BASE_FORMS: Mapping[Generator, NormalForm] = {

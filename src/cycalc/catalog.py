@@ -373,20 +373,6 @@ def _check_int(entry_id: str, key: str, value: object) -> int:
     return value
 
 
-def base_to_record(base: LefschetzBase) -> dict:
-    return {
-        "id": base.id,
-        "display_name": base.display_name,
-        "dim_m": base.dim_m,
-        "length_m": base.length_m,
-        "rank_b": base.rank_b,
-        "line_bundle_note": base.line_bundle_note,
-        "omega_is_l_minus_m": base.omega_is_l_minus_m,
-        "parameters": dict(base.parameters),
-        "chi_stable": base.chi_stable,
-    }
-
-
 def base_from_record(record: object) -> LefschetzBase:
     if not isinstance(record, dict):
         raise ValidationError("catalog entry must be a JSON object")
@@ -451,11 +437,6 @@ def load_catalog_file(path: str | Path) -> list[LefschetzBase]:
         seen.add(base.id)
         bases.append(base)
     return bases
-
-
-def dump_catalog(bases: Iterable[LefschetzBase]) -> str:
-    """Serialize concrete bases in the catalog file format."""
-    return json.dumps([base_to_record(b) for b in bases], indent=2) + "\n"
 
 
 def merge_user_catalog(user_bases: Iterable[LefschetzBase]) -> list[LefschetzBase]:

@@ -120,10 +120,10 @@ def _construction(args: argparse.Namespace) -> ConstructionKind:
 
 def _bounds(args: argparse.Namespace, default_kinds: tuple[ConstructionKind, ...]) -> SweepBounds:
     kinds = default_kinds
-    if getattr(args, "kinds", None):
+    if args.kinds:
         kinds = _parse_kinds(args.kinds)
     families = None
-    if getattr(args, "families", None):
+    if args.families:
         families = tuple(name.strip() for name in args.families.split(",") if name.strip())
     return SweepBounds(
         max_n=args.max_n,
@@ -327,7 +327,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="enumerate cases over the catalog")
     _add_bounds_args(p_sweep)
-    p_sweep.add_argument("--cy-dim", default=None, help="filter: integer or p/q dimension")
+    p_sweep.add_argument(
+        "--cy-dim",
+        default=None,
+        help="filter: integer or p/q dimension; write a negative one as --cy-dim=-17/3",
+    )
     p_sweep.add_argument(
         "--integer", action="store_true", help="filter: integer Calabi-Yau cases only"
     )

@@ -26,7 +26,8 @@ pushforward along such a cover is not spherical, so no table exists.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping
 
 from .autoeq import Generator, NormalForm
@@ -66,14 +67,18 @@ ALL_KINDS: tuple[ConstructionKind, ...] = (
 
 @dataclass(frozen=True)
 class SubstitutionTable:
-    """Resolved normal forms of the symbolic generators for one case."""
+    """Resolved normal forms of the symbolic generators for one case.
+
+    ``entries`` is a read-only mapping.  It takes part in equality but not in
+    the hash, which the other fields already determine.
+    """
 
     kind: ConstructionKind
     d: int
     m: int
     dim_m: int
     dim_x: int
-    entries: Mapping[Generator, NormalForm]
+    entries: Mapping[Generator, NormalForm] = field(hash=False)
 
     def __post_init__(self) -> None:
         twist = self.entries[Generator.SPHERICAL_TWIST]
@@ -122,10 +127,12 @@ def substitution_table(kind: ConstructionKind, d: int, base: LefschetzBase) -> S
         serre = NormalForm(shift=n, ltwist=d - m, chi=1)
         dim_x = n
 
-    entries = {
-        Generator.SPHERICAL_TWIST: twist,
-        Generator.SERRE: serre,
-        Generator.COMP_TWIST: twist.compose(NormalForm(ltwist=d)),
-        Generator.SERRE_TWIST: serre.compose(twist).compose(NormalForm(ltwist=m)),
-    }
+    entries = MappingProxyType(
+        {
+            Generator.SPHERICAL_TWIST: twist,
+            Generator.SERRE: serre,
+            Generator.COMP_TWIST: twist.compose(NormalForm(ltwist=d)),
+            Generator.SERRE_TWIST: serre.compose(twist).compose(NormalForm(ltwist=m)),
+        }
+    )
     return SubstitutionTable(kind=kind, d=d, m=m, dim_m=n, dim_x=dim_x, entries=entries)

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .autoeq import Generator, NormalForm, Word, resolve
 from .catalog import LefschetzBase, builtin
@@ -228,7 +228,11 @@ class SweepBounds:
 
 
 def _weight_multisets(total_max: int) -> Iterator[tuple[int, ...]]:
-    """Nondecreasing weight tuples (w0 <= w1 <= ...) with sum <= total_max."""
+    """Nondecreasing weight tuples (w0 <= w1 <= ...) with sum <= total_max.
+
+    The depth-first walk yields them in lexicographic order, each prefix
+    before its extensions.
+    """
 
     def extend(prefix: tuple[int, ...], remaining: int, minimum: int) -> Iterator[tuple[int, ...]]:
         if len(prefix) >= 2:
@@ -250,7 +254,7 @@ def iter_sweep_bases(bounds: SweepBounds) -> Iterator[LefschetzBase]:
         for n in range(1, bounds.max_n + 1):
             yield builtin("pn", {"n": n})
     if bounds.wants("wpn") and bounds.include_weighted:
-        for weights in sorted(_weight_multisets(bounds.max_weight_sum)):
+        for weights in _weight_multisets(bounds.max_weight_sum):
             yield builtin("wpn", {f"w{i}": w for i, w in enumerate(weights)})
     if bounds.wants("quadric4s2"):
         for s in range(1, bounds.max_s + 1):
@@ -274,15 +278,21 @@ def iter_sweep_bases(bounds: SweepBounds) -> Iterator[LefschetzBase]:
             yield base
 
 
-def iter_cases(bounds: SweepBounds) -> Iterator[CaseResult]:
-    """All (base, kind, d) analyses in the window; errors recorded inline."""
+def _window(bounds: SweepBounds) -> Iterator[tuple[LefschetzBase, ConstructionKind, int]]:
+    """Every (base, kind, d) triple of the window, in enumeration order."""
     for base in iter_sweep_bases(bounds):
         for kind in bounds.kinds:
             for d in range(1, base.length_m + 1):
-                try:
-                    yield analyze(base, kind, d)
-                except CycalcError as exc:
-                    yield _error_case(base, kind, d, str(exc))
+                yield base, kind, d
+
+
+def iter_cases(bounds: SweepBounds) -> Iterator[CaseResult]:
+    """All (base, kind, d) analyses in the window; errors recorded inline."""
+    for base, kind, d in _window(bounds):
+        try:
+            yield analyze(base, kind, d)
+        except CycalcError as exc:
+            yield _error_case(base, kind, d, str(exc))
 
 
 def sweep(
@@ -339,52 +349,29 @@ class VerifyReport:
 def verify_cross_check(bounds: SweepBounds | None = None) -> VerifyReport:
     """Compare the word-algebra path against the closed forms everywhere.
 
-    The same pass collects the integer cases of negative dimension (see
-    :func:`negative_dimension_cases`) into ``negatives``.
+    The same pass collects into ``negatives`` the proper integer components
+    whose dimension is negative.
     """
     if bounds is None:
         bounds = SweepBounds(kinds=ALL_KINDS)
     total = 0
     mismatches = []
     negatives = []
-    for base in iter_sweep_bases(bounds):
-        for kind in bounds.kinds:
-            for d in range(1, base.length_m + 1):
-                total += 1
-                try:
-                    via_formula = closed_form(base, kind, d)
-                except CycalcError:
-                    continue  # the construction does not exist on this base
-                try:
-                    case = analyze(base, kind, d)
-                except CycalcError:
-                    # the case is valid, so a failure of the word path is a
-                    # disagreement (e.g. a line twist left in the normal form)
-                    mismatches.append((base.id, base.param_key(), kind.value, d))
-                    continue
-                if case.serre_power_nf != via_formula:
-                    mismatches.append((base.id, base.param_key(), kind.value, d))
-                if _is_negative_dimension(case):
-                    negatives.append(case)
+    for base, kind, d in _window(bounds):
+        total += 1
+        try:
+            via_formula = closed_form(base, kind, d)
+        except CycalcError:
+            continue  # the construction does not exist on this base
+        try:
+            case = analyze(base, kind, d)
+        except CycalcError:
+            # the case is valid, so a failure of the word path is a
+            # disagreement (e.g. a line twist left in the normal form)
+            mismatches.append((base.id, base.param_key(), kind.value, d))
+            continue
+        if case.serre_power_nf != via_formula:
+            mismatches.append((base.id, base.param_key(), kind.value, d))
+        if case.is_integer_cy and not case.component_is_whole and case.witness.p < 0:
+            negatives.append(case)
     return VerifyReport(cases=total, mismatches=tuple(mismatches), negatives=tuple(negatives))
-
-
-def _is_negative_dimension(case: CaseResult) -> bool:
-    return (
-        case.error is None
-        and case.is_integer_cy
-        and not case.component_is_whole
-        and case.witness is not None
-        and case.witness.p < 0
-    )
-
-
-def negative_dimension_cases(cases: Iterable[CaseResult]) -> list[CaseResult]:
-    """Integer-CY rows with negative dimension.
-
-    If the nonnegativity expectation for Calabi-Yau components holds, every
-    such component must vanish; within the builtin catalog these rows are
-    exactly the hyperplane-type cases (divisor, d = 1) whose induced blocks
-    already exhaust the derived category.
-    """
-    return [case for case in cases if _is_negative_dimension(case)]

@@ -34,8 +34,8 @@ which is the check :func:`cy_hh_check` performs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, combinations, repeat
+from math import gcd
 from typing import Iterable, Mapping, Sequence
 
 from .catalog import LefschetzBase
@@ -118,32 +118,6 @@ def jacobian_poincare(weights: Sequence[int], degree: int) -> PoincareSeries:
         for residue in range(w):
             series[residue::w] = accumulate(delta[residue::w])
     return PoincareSeries(tuple(series))
-
-
-def brute_force_jacobian_dim(weights: Sequence[int], degree: int, target: int) -> int:
-    """Independent oracle: count monomials of weighted degree ``target``.
-
-    Counts exponent vectors (e_0, ..., e_n) with e_i <= D/w_i - 2 and
-    sum(w_i e_i) = target by a memoized depth-first enumeration over suffixes.
-    Deliberately avoids polynomial arithmetic so that it checks
-    :func:`jacobian_poincare` from the outside.
-    """
-    _validate_weights(weights, degree)
-    if target < 0:
-        return 0
-
-    @cache
-    def count(index: int, remaining: int) -> int:
-        if index == len(weights):
-            return 1 if remaining == 0 else 0
-        w = weights[index]
-        cap = degree // w - 2
-        total = 0
-        for e in range(min(cap, remaining // w) + 1):
-            total += count(index + 1, remaining - e * w)
-        return total
-
-    return count(0, target)
 
 
 @dataclass(frozen=True)
@@ -395,7 +369,19 @@ class HHPipelineResult:
 
 
 def hh_pipeline(case: CaseResult) -> HHPipelineResult:
-    """Diamond -> HH(D(X)) -> HH(component) -> nonvanishing check."""
+    """Diamond -> HH(D(X)) -> HH(component) -> nonvanishing check.
+
+    Weighted bases whose weights are not pairwise coprime are refused: the
+    Fermat member then meets a stacky stratum, and the twisted sectors it
+    adds to HH_0 are not modelled, so the block subtraction would be wrong.
+    """
+    if case.base.id == "wpn":
+        weights = case.base.param_key()
+        if any(gcd(a, b) > 1 for a, b in combinations(weights, 2)):
+            raise HodgeUnsupported(
+                f"weights {','.join(map(str, weights))} are not pairwise coprime; "
+                "the twisted sectors of the stacky locus are not modelled"
+            )
     diamond = diamond_for_case(case)
     hh_x = hkr(diamond)
     hh_a = hh_component(hh_x, case.base, case.d)

@@ -1,0 +1,74 @@
+"""Slow reference implementations and fixtures that the tests check against.
+
+None of this is part of the package: each function recomputes, by the most
+direct means, something that ``cycalc`` computes faster or as a side effect.
+"""
+
+import json
+from functools import cache
+
+from cycalc.hodge import _validate_weights
+
+
+def brute_force_jacobian_dim(weights, degree, target):
+    """Count monomials of weighted degree ``target`` in the Jacobian quotient.
+
+    Counts exponent vectors (e_0, ..., e_n) with e_i <= D/w_i - 2 and
+    sum(w_i e_i) = target by a memoized depth-first enumeration over suffixes.
+    Deliberately avoids polynomial arithmetic so that it checks
+    :func:`cycalc.hodge.jacobian_poincare` from the outside.
+    """
+    _validate_weights(weights, degree)
+    if target < 0:
+        return 0
+
+    @cache
+    def count(index, remaining):
+        if index == len(weights):
+            return 1 if remaining == 0 else 0
+        w = weights[index]
+        cap = degree // w - 2
+        total = 0
+        for e in range(min(cap, remaining // w) + 1):
+            total += count(index + 1, remaining - e * w)
+        return total
+
+    return count(0, target)
+
+
+def negative_dimension_cases(cases):
+    """Proper integer Calabi-Yau components whose dimension is negative.
+
+    If the nonnegativity expectation for Calabi-Yau components holds, every
+    such component must vanish; within the builtin catalog these rows are
+    exactly the hyperplane-type cases (divisor, d = 1) whose induced blocks
+    already exhaust the derived category.
+    """
+    return [
+        case
+        for case in cases
+        if case.error is None
+        and case.is_integer_cy
+        and case.d != case.base.length_m
+        and case.cy_dimension < 0
+    ]
+
+
+def catalog_record(base):
+    """One base as a record of the ``CYCALC_CATALOG`` file format."""
+    return {
+        "id": base.id,
+        "display_name": base.display_name,
+        "dim_m": base.dim_m,
+        "length_m": base.length_m,
+        "rank_b": base.rank_b,
+        "line_bundle_note": base.line_bundle_note,
+        "omega_is_l_minus_m": base.omega_is_l_minus_m,
+        "parameters": dict(base.parameters),
+        "chi_stable": base.chi_stable,
+    }
+
+
+def catalog_text(bases):
+    """A catalog file holding the given bases."""
+    return json.dumps([catalog_record(base) for base in bases], indent=2) + "\n"

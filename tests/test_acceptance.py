@@ -16,7 +16,6 @@ from cycalc.catalog import builtin
 from cycalc.constructions import ConstructionKind
 from cycalc.engine import SweepBounds, analyze, iter_cases, sweep, verify_cross_check
 from cycalc.hodge import (
-    brute_force_jacobian_dim,
     hh_component,
     hh_pipeline,
     hkr,
@@ -24,6 +23,7 @@ from cycalc.hodge import (
     hodge_hypersurface,
     jacobian_poincare,
 )
+from reference import brute_force_jacobian_dim
 
 DIV = ConstructionKind.DIVISOR
 COVER = ConstructionKind.DOUBLE_COVER

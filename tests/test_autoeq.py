@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cycalc.autoeq import (
-    BASE_GENERATORS,
     IDENTITY,
     Generator,
     NormalForm,
@@ -83,7 +82,7 @@ def test_power_inverse_cancels(a, k):
 @given(forms, st.integers(min_value=-100, max_value=100))
 def test_power_is_iterated_composition(a, k):
     expected = IDENTITY
-    step = a if k >= 0 else a.inverse()
+    step = a if k >= 0 else a.power(-1)
     for _ in range(abs(k)):
         expected = expected.compose(step)
     assert a.power(k) == expected
@@ -147,8 +146,9 @@ def test_resolve_is_permutation_invariant(factors, rng):
 
 
 def test_base_generator_set():
-    assert Generator.SHIFT in BASE_GENERATORS
-    assert Generator.COMP_TWIST not in BASE_GENERATORS
+    assert resolve(Word(((Generator.SHIFT, 1),))) == NormalForm(shift=1)
+    with pytest.raises(UnresolvedGenerator):
+        resolve(Word(((Generator.COMP_TWIST, 1),)))
 
 
 # ---------------------------------------------------------------------------

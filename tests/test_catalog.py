@@ -10,14 +10,13 @@ from cycalc.catalog import (
     BUILTIN_IDS,
     FAMILIES,
     LefschetzBase,
-    base_to_record,
     builtin,
-    dump_catalog,
     fonarev_rank,
     load_catalog_file,
     merge_user_catalog,
 )
 from cycalc.errors import InvalidParams, ParseError, UnknownBase, ValidationError
+from reference import catalog_record, catalog_text
 
 
 def enumerate_diagrams(k, n):
@@ -192,7 +191,7 @@ def test_user_base_parameters_keep_given_order():
     base = LefschetzBase("mine", "mine", 3, 4, 1, "O(1)", parameters={"z": 3, "a": 1})
     assert base.parameters == (("z", 3), ("a", 1))
     assert base.param_key() == (3, 1)
-    assert base_to_record(base)["parameters"] == {"z": 3, "a": 1}
+    assert catalog_record(base)["parameters"] == {"z": 3, "a": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +218,7 @@ def representative_bases():
 def test_round_trip_single_entry(tmp_path):
     base = builtin("pn", {"n": 5})
     path = tmp_path / "catalog.json"
-    path.write_text(dump_catalog([base]), encoding="utf-8")
+    path.write_text(catalog_text([base]), encoding="utf-8")
     loaded = load_catalog_file(path)
     assert loaded == [base]
 
@@ -228,12 +227,12 @@ def test_round_trip_all_builtin_representatives(tmp_path):
     bases = representative_bases()
     assert len(bases) == 11
     path = tmp_path / "catalog.json"
-    path.write_text(dump_catalog(bases), encoding="utf-8")
+    path.write_text(catalog_text(bases), encoding="utf-8")
     assert load_catalog_file(path) == bases
 
 
 def test_zero_length_rejected(tmp_path):
-    record = base_to_record(builtin("pn", {"n": 2}))
+    record = catalog_record(builtin("pn", {"n": 2}))
     record["length_m"] = 0
     path = tmp_path / "catalog.json"
     path.write_text(json.dumps([record]), encoding="utf-8")
@@ -243,7 +242,7 @@ def test_zero_length_rejected(tmp_path):
 
 
 def test_unknown_key_rejected(tmp_path):
-    record = base_to_record(builtin("pn", {"n": 2}))
+    record = catalog_record(builtin("pn", {"n": 2}))
     record["surprise"] = 1
     path = tmp_path / "catalog.json"
     path.write_text(json.dumps([record]), encoding="utf-8")
@@ -253,7 +252,7 @@ def test_unknown_key_rejected(tmp_path):
 
 
 def test_missing_field_rejected(tmp_path):
-    record = base_to_record(builtin("pn", {"n": 2}))
+    record = catalog_record(builtin("pn", {"n": 2}))
     del record["rank_b"]
     path = tmp_path / "catalog.json"
     path.write_text(json.dumps([record]), encoding="utf-8")
@@ -263,7 +262,7 @@ def test_missing_field_rejected(tmp_path):
 
 
 def test_duplicate_ids_rejected(tmp_path):
-    record = base_to_record(builtin("pn", {"n": 2}))
+    record = catalog_record(builtin("pn", {"n": 2}))
     path = tmp_path / "catalog.json"
     path.write_text(json.dumps([record, record]), encoding="utf-8")
     with pytest.raises(ValidationError):
@@ -298,7 +297,7 @@ def test_merge_rejects_builtin_collision():
 
 
 def test_chi_stable_defaults_true_and_round_trips(tmp_path):
-    record = base_to_record(builtin("pn", {"n": 2}))
+    record = catalog_record(builtin("pn", {"n": 2}))
     record["chi_stable"] = False
     record["id"] = "custom"
     path = tmp_path / "catalog.json"

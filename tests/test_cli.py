@@ -13,8 +13,10 @@ from pathlib import Path
 import cycalc
 
 from cycalc import cli
-from cycalc.catalog import base_to_record, builtin, dump_catalog
+from cycalc.catalog import builtin
+from cycalc.constructions import ConstructionKind
 from cycalc.records import SCHEMA_VERSION
+from reference import catalog_record, catalog_text
 
 
 def run(capsys, *argv):
@@ -155,6 +157,24 @@ def test_sweep_malformed_filter_exit_2(capsys):
     code, _, err = run(capsys, "sweep", "--cy-dim", "two")
     assert code == 2
     assert "two" in err
+
+
+def test_sweep_negative_fraction_needs_the_equals_form(capsys):
+    # argparse reads a separate "-17/3" as an option, so the value is missing
+    code, _, err = run(capsys, "sweep", "--cy-dim", "-17/3")
+    assert code == 1
+    assert "expected one argument" in err
+    code, out, _ = run(capsys, "sweep", "--cy-dim=-17/3", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["records"] == []
+    code, out, _ = run(
+        capsys, "sweep", "--cy-dim=-3", "--families", "pn", "--max-n", "4", "--format", "json"
+    )
+    assert code == 0
+    records = json.loads(out)["records"]
+    assert [(r["params"], r["construction"], r["degree"]) for r in records] == [
+        ({"n": 2}, "divisor", 1)
+    ]
 
 
 def test_sweep_json_round_trips(capsys):
@@ -343,6 +363,20 @@ def test_hh_root_stack_exit_2(capsys):
     assert "twisted sectors" in err
 
 
+def test_hh_refuses_weights_sharing_a_factor_exit_2(capsys):
+    # the Fermat quartic in P(2,2,2,2) meets the stacky locus everywhere
+    code, out, err = run(
+        capsys, "hh", "--base", "wpn", "--weights", "2,2,2,2",
+        "--construction", "divisor", "--degree", "4",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: weights 2,2,2,2 are not pairwise coprime; "
+        "the twisted sectors of the stacky locus are not modelled\n"
+    )
+
+
 def test_hh_table_mentions_check(capsys):
     code, out, _ = run(
         capsys, "hh", "--base", "pn", "--n", "5",
@@ -397,13 +431,32 @@ def test_integrality_cross_check_failure_exits_3(capsys, monkeypatch):
     assert err.startswith("internal error: integrality witness disagrees")
 
 
+def test_sweep_self_check_failure_in_one_case_fails_the_whole_run(capsys, monkeypatch):
+    # a sweep whose self-check failed has no rows worth trusting: no partial output
+    from cycalc import engine
+
+    honest = engine._integrality_expected
+
+    def wrong_for_pn_divisor_7(kind, d, m):
+        if kind is ConstructionKind.DIVISOR and d == 7:
+            return not honest(kind, d, m)
+        return honest(kind, d, m)
+
+    monkeypatch.setattr(engine, "_integrality_expected", wrong_for_pn_divisor_7)
+    code, out, err = run(capsys, "sweep", "--families", "pn", "--max-n", "8")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: ")
+    assert "pn divisor d=7" in err
+
+
 # ---------------------------------------------------------------------------
 # user catalogs via CYCALC_CATALOG
 # ---------------------------------------------------------------------------
 
 
 def test_user_catalog_merges(tmp_path, capsys, monkeypatch):
-    record = base_to_record(builtin("pn", {"n": 5}))
+    record = catalog_record(builtin("pn", {"n": 5}))
     record["id"] = "mybase"
     record["display_name"] = "my base"
     path = tmp_path / "catalog.json"
@@ -423,7 +476,7 @@ def test_user_catalog_merges(tmp_path, capsys, monkeypatch):
 
 
 def test_user_catalog_parameters_in_catalog_and_case(tmp_path, capsys, monkeypatch):
-    record = base_to_record(builtin("pn", {"n": 5}))
+    record = catalog_record(builtin("pn", {"n": 5}))
     record.update(id="mybase", parameters={"z": 3, "a": 1})
     path = tmp_path / "catalog.json"
     path.write_text(json.dumps([record]), encoding="utf-8")
@@ -443,7 +496,7 @@ def test_user_catalog_parameters_in_catalog_and_case(tmp_path, capsys, monkeypat
 
 def test_user_catalog_collision_exit_2(tmp_path, capsys, monkeypatch):
     path = tmp_path / "catalog.json"
-    path.write_text(dump_catalog([builtin("pn", {"n": 5})]), encoding="utf-8")
+    path.write_text(catalog_text([builtin("pn", {"n": 5})]), encoding="utf-8")
     monkeypatch.setenv("CYCALC_CATALOG", str(path))
     code, _, err = run(capsys, "catalog")
     assert code == 2

@@ -150,6 +150,18 @@ def test_closed_form_rejects_what_the_table_rejects(kind, d, base):
     assert str(from_formula.value) == str(from_table.value)
 
 
+def test_tables_are_immutable_and_hashable():
+    base = builtin("pn", {"n": 5})
+    table = substitution_table(ConstructionKind.DIVISOR, 3, base)
+    with pytest.raises(TypeError):
+        table.entries[S] = NormalForm()
+    assert table.entries[S] == NormalForm(shift=4, ltwist=-3)
+    twin = substitution_table(ConstructionKind.DIVISOR, 3, base)
+    assert twin == table and hash(twin) == hash(table)
+    other = substitution_table(ConstructionKind.DOUBLE_COVER, 3, base)
+    assert len({table, twin, other}) == 2
+
+
 def test_cyclic_cover_degree_guard():
     assert ConstructionKind.cyclic_cover(2) is ConstructionKind.DOUBLE_COVER
     for degree in (3, 4, 7):

@@ -12,16 +12,17 @@ from cycalc.constructions import ALL_KINDS, ConstructionKind, substitution_table
 from cycalc.engine import (
     FractionalCYWitness,
     SweepBounds,
+    _weight_multisets,
     analyze,
     closed_form,
     extract_witness,
     iter_cases,
     iter_sweep_bases,
-    negative_dimension_cases,
     serre_power,
     verify_cross_check,
 )
 from cycalc.errors import NotPureShiftable
+from reference import negative_dimension_cases
 
 DIV = ConstructionKind.DIVISOR
 COVER = ConstructionKind.DOUBLE_COVER
@@ -187,6 +188,14 @@ def test_case_results_are_hashable():
     assert hash(case) == hash(twin)
     assert twin in {case}
     assert analyze(builtin("pn", {"n": 5}), DIV, 2) not in {case}
+
+
+def test_weight_multisets_come_out_sorted():
+    # iter_sweep_bases relies on this instead of sorting the whole window
+    multisets = list(_weight_multisets(30))
+    assert len(multisets) == 28_598
+    assert multisets == sorted(multisets)
+    assert all(list(w) == sorted(w) for w in multisets)
 
 
 def test_whole_component_power_equals_source_serre_functor():

@@ -1,7 +1,7 @@
 """Graded-quotient series, Hodge diamonds, and the homology pipeline."""
 
-from itertools import combinations_with_replacement
-from math import comb, lcm
+from itertools import combinations, combinations_with_replacement
+from math import comb, gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,7 +22,6 @@ from cycalc.errors import (
 from cycalc.hodge import (
     HHProfile,
     _validate_weights,
-    brute_force_jacobian_dim,
     cy_hh_check,
     diamond_for_case,
     hh_component,
@@ -33,6 +32,7 @@ from cycalc.hodge import (
     jacobian_poincare,
     weighted_hypersurface_diamond,
 )
+from reference import brute_force_jacobian_dim
 
 DIV = ConstructionKind.DIVISOR
 COVER = ConstructionKind.DOUBLE_COVER
@@ -386,6 +386,43 @@ def test_pipeline_rejects_root_stacks():
     case = analyze(builtin("pn", {"n": 3}), ConstructionKind.ROOT_STACK, 2)
     with pytest.raises(HodgeUnsupported):
         diamond_for_case(case)
+
+
+#: Weighted divisors with 2-5 weights in 1..6 and a degree d <= sum(w) that
+#: is a multiple of every weight and exceeds each (a Fermat member exists).
+FERMAT_DIVISORS = [
+    (weights, degree)
+    for count in range(2, 6)
+    for weights in combinations_with_replacement(range(1, 7), count)
+    for degree in range(lcm(*weights), sum(weights) + 1, lcm(*weights))
+    if degree > max(weights)
+]
+
+
+@settings(deadline=None)
+@given(st.sampled_from(FERMAT_DIVISORS))
+@example(((2, 2, 2, 2), 4))
+@example(((1, 1, 1, 3), 6))
+@example(((1, 1, 2, 3), 6))
+@example(((1, 2), 2))
+@example(((2, 2), 4))
+def test_hh_refuses_exactly_the_weights_sharing_a_factor(system):
+    weights, degree = system
+    case = analyze(builtin("wpn", {f"w{i}": w for i, w in enumerate(weights)}), DIV, degree)
+    shared = any(gcd(a, b) > 1 for a, b in combinations(weights, 2))
+    try:
+        hh_pipeline(case)
+        refused = False
+    except HodgeUnsupported:
+        refused = True
+    except InvalidParams:
+        refused = False  # two weights span no surface, so there is no diamond
+    assert refused == shared
+    if len(weights) >= 3:
+        assert diamond_for_case(case).dim_x == len(weights) - 2
+    else:
+        with pytest.raises(InvalidParams):
+            diamond_for_case(case)
 
 
 def test_weighted_divisor_pipeline_matches_double_cover():

@@ -6,10 +6,10 @@ from cycalc.catalog import LefschetzBase
 from cycalc.constructions import ALL_KINDS, ConstructionKind
 from cycalc.engine import (
     SweepBounds,
-    negative_dimension_cases,
     iter_cases,
     sweep,
 )
+from reference import negative_dimension_cases
 
 DIV = ConstructionKind.DIVISOR
 COVER = ConstructionKind.DOUBLE_COVER
