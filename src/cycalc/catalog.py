@@ -34,6 +34,11 @@ a quadric of dimension 2n-1), and a hyperplane section of the (4n-2)-fold
 Gr(2,2n+1) has dimension 4n-3.  The ``p3xp3`` entry is a companion of the
 other fixed entries (its quadric sections behave exactly like those of the
 homogeneous fixed entries) rather than a member of an infinite family here.
+
+A new family is one ``FAMILIES`` row: ``_family`` takes its catalog strings,
+its parameter names, an optional lower bound and a rule from the parameter
+values to the base, and ``_fixed`` does the same for a parameterless entry.
+Only ``wpn``, whose parameter list has no fixed length, has its own rule.
 """
 
 from __future__ import annotations
@@ -132,22 +137,6 @@ def _require_params(family_id: str, params: Mapping[str, int], names: tuple[str,
         raise InvalidParams(f"{family_id} got unexpected parameters {', '.join(extra)}")
 
 
-def _make_pn(params: Mapping[str, int]) -> LefschetzBase:
-    _require_params("pn", params, ("n",))
-    n = params["n"]
-    if n < 1:
-        raise InvalidParams(f"pn requires n >= 1, got n={n}")
-    return LefschetzBase(
-        id="pn",
-        display_name=f"P^{n}",
-        dim_m=n,
-        length_m=n + 1,
-        rank_b=1,
-        line_bundle_note="O(1)",
-        parameters={"n": n},
-    )
-
-
 def _normalize_weights(params: Mapping[str, int]) -> tuple[int, ...]:
     if not params:
         raise InvalidParams("wpn requires at least one weight")
@@ -179,66 +168,38 @@ def _make_wpn(params: Mapping[str, int]) -> LefschetzBase:
     )
 
 
-def _make_quadric(params: Mapping[str, int]) -> LefschetzBase:
-    _require_params("quadric4s2", params, ("s",))
-    s = params["s"]
-    if s < 1:
-        raise InvalidParams(f"quadric4s2 requires s >= 1, got s={s}")
-    return LefschetzBase(
-        id="quadric4s2",
-        display_name=f"Q^{4 * s + 2}",
-        dim_m=4 * s + 2,
-        length_m=2,
-        rank_b=2 * s + 2,
-        line_bundle_note=f"O({2 * s + 1}); block = O,...,O(2s) plus one spinor bundle",
-        parameters={"s": s},
-    )
+def _family(
+    family_id: str,
+    name: str,
+    param_names: tuple[str, ...],
+    dim_formula: str,
+    length_formula: str,
+    rank_formula: str,
+    note: str,
+    base: Callable[..., tuple[str, int, int, int, str]],
+    minimum: int | None = None,
+) -> Family:
+    """One builtin family: its catalog strings plus a rule for its bases.
 
+    ``base`` maps the parameter values, in ``param_names`` order, to the base's
+    display name, dim M, m, rk B and line-bundle note.  ``minimum`` bounds a
+    family's single parameter from below; any further check lives in ``base``.
+    """
 
-def _make_gr(params: Mapping[str, int]) -> LefschetzBase:
-    _require_params("gr", params, ("k", "n"))
-    k, n = params["k"], params["n"]
-    rank = fonarev_rank(k, n)  # validates 1 <= k < n and coprimality
-    return LefschetzBase(
-        id="gr",
-        display_name=f"Gr({k},{n})",
-        dim_m=k * (n - k),
-        length_m=n,
-        rank_b=rank,
-        line_bundle_note="Pluecker O(1)",
-        parameters={"k": k, "n": n},
-    )
+    def make(params: Mapping[str, int]) -> LefschetzBase:
+        _require_params(family_id, params, param_names)
+        values = tuple(params[p] for p in param_names)
+        if minimum is not None and values[0] < minimum:
+            p = param_names[0]
+            raise InvalidParams(f"{family_id} requires {p} >= {minimum}, got {p}={values[0]}")
+        display, dim_m, m, rank, base_note = base(*values)
+        return LefschetzBase(
+            family_id, display, dim_m, m, rank, base_note,
+            parameters=tuple(zip(param_names, values)),
+        )
 
-
-def _make_ogr2(params: Mapping[str, int]) -> LefschetzBase:
-    _require_params("ogr2", params, ("n",))
-    n = params["n"]
-    if n < 2:
-        raise InvalidParams(f"ogr2 requires n >= 2, got n={n}")
-    return LefschetzBase(
-        id="ogr2",
-        display_name=f"OGr(2,{2 * n + 1})",
-        dim_m=4 * n - 5,
-        length_m=2 * n - 2,
-        rank_b=n,
-        line_bundle_note="O(1); block = symmetric powers of U^v plus the spinor bundle",
-        parameters={"n": n},
-    )
-
-
-def _make_igr2(params: Mapping[str, int]) -> LefschetzBase:
-    _require_params("igr2", params, ("n",))
-    n = params["n"]
-    if n < 2:
-        raise InvalidParams(f"igr2 requires n >= 2, got n={n}")
-    return LefschetzBase(
-        id="igr2",
-        display_name=f"IGr(2,{2 * n + 1})",
-        dim_m=4 * n - 3,
-        length_m=2 * n,
-        rank_b=n,
-        line_bundle_note="O(1); block = O, U^v, ..., S^(n-1) U^v",
-        parameters={"n": n},
+    return Family(
+        family_id, name, param_names, dim_formula, length_formula, rank_formula, note, make
     )
 
 
@@ -246,25 +207,20 @@ def _fixed(
     base_id: str, name: str, display: str, dim_m: int, m: int, rank: int, note: str
 ) -> Family:
     """A parameterless family: catalog name, base name, dim M, m, rk B, note."""
-
-    def make(params: Mapping[str, int]) -> LefschetzBase:
-        _require_params(base_id, params, ())
-        return LefschetzBase(
-            id=base_id,
-            display_name=display,
-            dim_m=dim_m,
-            length_m=m,
-            rank_b=rank,
-            line_bundle_note=note,
-        )
-
-    return Family(base_id, name, (), str(dim_m), str(m), str(rank), note, make)
+    return _family(
+        base_id, name, (), str(dim_m), str(m), str(rank), note,
+        lambda: (display, dim_m, m, rank, note),
+    )
 
 
 FAMILIES: dict[str, Family] = {
     f.id: f
     for f in (
-        Family("pn", "projective space P^n", ("n",), "n", "n+1", "1", "O(1)", _make_pn),
+        _family(
+            "pn", "projective space P^n", ("n",), "n", "n+1", "1", "O(1)",
+            lambda n: (f"P^{n}", n, n + 1, 1, "O(1)"),
+            minimum=1,
+        ),
         Family(
             "wpn",
             "weighted projective stack P(w0,...,wn)",
@@ -275,35 +231,28 @@ FAMILIES: dict[str, Family] = {
             "O(1) on the smooth toric stack",
             _make_wpn,
         ),
-        Family(
-            "quadric4s2",
-            "smooth quadric of dimension 4s+2",
-            ("s",),
-            "4s+2",
-            "2",
-            "2s+2",
+        _family(
+            "quadric4s2", "smooth quadric of dimension 4s+2", ("s",), "4s+2", "2", "2s+2",
             "O(2s+1)",
-            _make_quadric,
+            lambda s: (
+                f"Q^{4 * s + 2}", 4 * s + 2, 2, 2 * s + 2,
+                f"O({2 * s + 1}); block = O,...,O(2s) plus one spinor bundle",
+            ),
+            minimum=1,
         ),
-        Family(
-            "gr",
-            "Grassmannian Gr(k,n), k and n coprime",
-            ("k", "n"),
-            "k(n-k)",
-            "n",
-            "C(n,k)/n",
-            "Pluecker O(1)",
-            _make_gr,
+        _family(
+            "gr", "Grassmannian Gr(k,n), k and n coprime", ("k", "n"), "k(n-k)", "n",
+            "C(n,k)/n", "Pluecker O(1)",
+            # fonarev_rank validates 1 <= k < n and coprimality
+            lambda k, n: (f"Gr({k},{n})", k * (n - k), n, fonarev_rank(k, n), "Pluecker O(1)"),
         ),
-        Family(
-            "ogr2",
-            "orthogonal Grassmannian OGr(2,2n+1)",
-            ("n",),
-            "4n-5",
-            "2n-2",
-            "n",
-            "O(1)",
-            _make_ogr2,
+        _family(
+            "ogr2", "orthogonal Grassmannian OGr(2,2n+1)", ("n",), "4n-5", "2n-2", "n", "O(1)",
+            lambda n: (
+                f"OGr(2,{2 * n + 1})", 4 * n - 5, 2 * n - 2, n,
+                "O(1); block = symmetric powers of U^v plus the spinor bundle",
+            ),
+            minimum=2,
         ),
         _fixed(
             "sgr36", "symplectic Grassmannian SGr(3,6)", "SGr(3,6)", 6, 4, 2,
@@ -317,15 +266,13 @@ FAMILIES: dict[str, Family] = {
             "g2gr", "adjoint Grassmannian of type G2", "G2-Gr(2,7)", 5, 3, 2,
             "O(1); block = O, U^v",
         ),
-        Family(
-            "igr2",
-            "hyperplane section of Gr(2,2n+1)",
-            ("n",),
-            "4n-3",
-            "2n",
-            "n",
-            "O(1)",
-            _make_igr2,
+        _family(
+            "igr2", "hyperplane section of Gr(2,2n+1)", ("n",), "4n-3", "2n", "n", "O(1)",
+            lambda n: (
+                f"IGr(2,{2 * n + 1})", 4 * n - 3, 2 * n, n,
+                "O(1); block = O, U^v, ..., S^(n-1) U^v",
+            ),
+            minimum=2,
         ),
         _fixed(
             "gr26_L2", "Gr(2,6) with the square polarization", "Gr(2,6), L=O(2)", 8, 3, 5,

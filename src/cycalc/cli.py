@@ -27,6 +27,7 @@ from .catalog import (
 )
 from .constructions import ALL_KINDS, ConstructionKind
 from .engine import (
+    CaseResult,
     SweepBounds,
     analyze,
     sweep,
@@ -173,10 +174,18 @@ def _add_base_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_bounds_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--max-n", type=int, default=30, help="ceiling for n-type parameters")
-    parser.add_argument("--max-s", type=int, default=5, help="ceiling for the quadric parameter")
+    defaults = SweepBounds()
     parser.add_argument(
-        "--max-weight-sum", type=int, default=30, help="weight-sum ceiling for weighted sweeps"
+        "--max-n", type=int, default=defaults.max_n, help="ceiling for n-type parameters"
+    )
+    parser.add_argument(
+        "--max-s", type=int, default=defaults.max_s, help="ceiling for the quadric parameter"
+    )
+    parser.add_argument(
+        "--max-weight-sum",
+        type=int,
+        default=defaults.max_weight_sum,
+        help="weight-sum ceiling for weighted sweeps",
     )
     parser.add_argument(
         "--include-weighted",
@@ -193,45 +202,37 @@ def _add_bounds_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
+_CATALOG_FIELDS = (
+    "id", "display_name", "parameters", "dim_m", "length_m", "rank_b", "line_bundle",
+    "omega_is_l_minus_m",
+)
+
+
 def _cmd_catalog(args: argparse.Namespace) -> int:
-    rows = []
-    for family in FAMILIES.values():
-        rows.append(
-            {
-                "schema_version": records.SCHEMA_VERSION,
-                "id": family.id,
-                "display_name": family.display_name,
-                "parameters": ",".join(family.param_names),
-                "dim_m": family.dim_formula,
-                "length_m": family.length_formula,
-                "rank_b": family.rank_formula,
-                "line_bundle": family.line_bundle_note,
-                "omega_is_l_minus_m": True,
-            }
-        )
-    for base in _user_bases():
-        rows.append(
-            {
-                "schema_version": records.SCHEMA_VERSION,
-                "id": base.id,
-                "display_name": base.display_name,
-                "parameters": ",".join(f"{k}={v}" for k, v in sorted(base.parameters)),
-                "dim_m": str(base.dim_m),
-                "length_m": str(base.length_m),
-                "rank_b": str(base.rank_b),
-                "line_bundle": base.line_bundle_note,
-                "omega_is_l_minus_m": base.omega_is_l_minus_m,
-            }
-        )
+    entries = [
+        (f.id, f.display_name, ",".join(f.param_names), f.dim_formula, f.length_formula,
+         f.rank_formula, f.line_bundle_note, True)
+        for f in FAMILIES.values()
+    ] + [
+        (b.id, b.display_name, ",".join(f"{k}={v}" for k, v in sorted(b.parameters)),
+         str(b.dim_m), str(b.length_m), str(b.rank_b), b.line_bundle_note, b.omega_is_l_minus_m)
+        for b in _user_bases()
+    ]
+    rows = [
+        {"schema_version": records.SCHEMA_VERSION, **dict(zip(_CATALOG_FIELDS, entry))}
+        for entry in entries
+    ]
     _emit(rows, args.format)
     return EXIT_OK
 
 
+def _analyze_args(args: argparse.Namespace) -> CaseResult:
+    """The case named by ``--base``/family parameters, ``--construction`` and ``--degree``."""
+    return analyze(_resolve_base(args), _construction(args), args.degree)
+
+
 def _cmd_case(args: argparse.Namespace) -> int:
-    base = _resolve_base(args)
-    kind = _construction(args)
-    case = analyze(base, kind, args.degree)
-    _emit([records.case_record(case)], args.format, records.CASE_TABLE_COLUMNS)
+    _emit([records.case_record(_analyze_args(args))], args.format, records.CASE_TABLE_COLUMNS)
     return EXIT_OK
 
 
@@ -259,9 +260,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_hodge(args: argparse.Namespace) -> int:
-    base = _resolve_base(args)
-    kind = _construction(args)
-    case = analyze(base, kind, args.degree)
+    case = _analyze_args(args)
+    base, kind = case.base, case.kind
     diamond = diamond_for_case(case)
     if args.format == "table":
         print(f"{base.display_name}, {kind.value} of degree {args.degree}: dim X = {diamond.dim_x}")
@@ -285,9 +285,8 @@ def _cmd_hodge(args: argparse.Namespace) -> int:
 
 
 def _cmd_hh(args: argparse.Namespace) -> int:
-    base = _resolve_base(args)
-    kind = _construction(args)
-    case = analyze(base, kind, args.degree)
+    case = _analyze_args(args)
+    base, kind = case.base, case.kind
     pipeline = hh_pipeline(case)
     if args.format == "table":
         print(f"{base.display_name}, {kind.value} of degree {args.degree}")

@@ -34,7 +34,7 @@ from math import gcd
 from typing import Iterator
 
 from .autoeq import Generator, NormalForm, Word, resolve
-from .catalog import LefschetzBase, builtin
+from .catalog import FAMILIES, LefschetzBase, builtin
 from .constructions import ALL_KINDS, ConstructionKind, check_case, substitution_table
 from .errors import CycalcError, NotPureShiftable
 
@@ -208,7 +208,8 @@ class SweepBounds:
     involution and are opt-in.  Weighted projective bases are likewise opt-in
     (all-ones weights duplicate ``pn`` and the weighted family is infinite in
     spirit); when enabled, weight multisets are enumerated in sorted order up
-    to ``max_weight_sum``.
+    to ``max_weight_sum``.  A kind given twice is swept once, in first-seen
+    order.
     """
 
     max_n: int = 30
@@ -222,6 +223,9 @@ class SweepBounds:
     families: tuple[str, ...] | None = None
     igr2_min_n: int = IGR2_SWEEP_MIN_N
     extra_bases: tuple[LefschetzBase, ...] = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "kinds", tuple(dict.fromkeys(self.kinds)))
 
     def wants(self, family_id: str) -> bool:
         return self.families is None or family_id in self.families
@@ -270,9 +274,9 @@ def iter_sweep_bases(bounds: SweepBounds) -> Iterator[LefschetzBase]:
     if bounds.wants("igr2"):
         for n in range(bounds.igr2_min_n, bounds.max_n + 1):
             yield builtin("igr2", {"n": n})
-    for fixed_id in ("sgr36", "ogr510", "g2gr", "gr26_L2", "p3xp3"):
-        if bounds.wants(fixed_id):
-            yield builtin(fixed_id)
+    for family in FAMILIES.values():
+        if family.param_names == () and bounds.wants(family.id):
+            yield builtin(family.id)
     for base in bounds.extra_bases:
         if bounds.families is None or base.id in bounds.families:
             yield base

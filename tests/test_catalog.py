@@ -100,6 +100,44 @@ def test_invalid_params(family, params):
         builtin(family, params)
 
 
+@pytest.mark.parametrize(
+    "family,params,message",
+    [
+        ("pn", {"n": 0}, "pn requires n >= 1, got n=0"),
+        ("pn", {}, "pn requires parameters n"),
+        ("pn", {"n": 5, "k": 2}, "pn got unexpected parameters k"),
+        ("quadric4s2", {"s": -1}, "quadric4s2 requires s >= 1, got s=-1"),
+        ("quadric4s2", {"n": 1}, "quadric4s2 requires parameters s"),
+        ("quadric4s2", {"s": 1, "z": 0, "a": 0}, "quadric4s2 got unexpected parameters a, z"),
+        ("gr", {"k": 2, "n": 6}, "(k, n) must be coprime, got k=2, n=6"),
+        ("gr", {"k": 0, "n": 5}, "need 1 <= k < n, got k=0, n=5"),
+        ("gr", {"k": 5, "n": 5}, "need 1 <= k < n, got k=5, n=5"),
+        ("gr", {"n": 5}, "gr requires parameters k"),
+        ("gr", {}, "gr requires parameters k, n"),
+        ("gr", {"k": 2, "n": 5, "s": 1}, "gr got unexpected parameters s"),
+        ("ogr2", {"n": 1}, "ogr2 requires n >= 2, got n=1"),
+        ("ogr2", {}, "ogr2 requires parameters n"),
+        ("ogr2", {"n": 3, "k": 1}, "ogr2 got unexpected parameters k"),
+        ("igr2", {"n": 1}, "igr2 requires n >= 2, got n=1"),
+        ("igr2", {}, "igr2 requires parameters n"),
+        ("igr2", {"n": 3, "k": 1}, "igr2 got unexpected parameters k"),
+        ("wpn", {}, "wpn requires at least one weight"),
+        ("wpn", {"w0": 1}, "wpn requires at least two weights"),
+        ("wpn", {"w0": 0, "w1": 1}, "weights must be positive, got (0, 1)"),
+        ("wpn", {"w0": 1, "x1": 1}, "wpn weight parameters must be named w0, w1, ..."),
+        ("sgr36", {"n": 1}, "sgr36 got unexpected parameters n"),
+        ("ogr510", {"k": 1}, "ogr510 got unexpected parameters k"),
+        ("g2gr", {"s": 1}, "g2gr got unexpected parameters s"),
+        ("gr26_L2", {"n": 6, "k": 2}, "gr26_L2 got unexpected parameters k, n"),
+        ("p3xp3", {"n": 3}, "p3xp3 got unexpected parameters n"),
+    ],
+)
+def test_invalid_params_messages(family, params, message):
+    with pytest.raises(InvalidParams) as err:
+        builtin(family, params)
+    assert str(err.value) == message
+
+
 def test_fonarev_rank_examples():
     assert fonarev_rank(2, 5) == enumerate_diagrams(2, 5) == 2
     assert fonarev_rank(2, 5) == comb(5, 2) // 5

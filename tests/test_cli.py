@@ -249,6 +249,19 @@ def test_verify_word_path_line_twist_fault_exit_3(capsys, monkeypatch):
     assert "MISMATCH pn (1,) divisor d=1" in out
 
 
+def test_repeated_kinds_count_once(capsys):
+    window = ("--families", "pn", "--max-n", "2")
+    code, once, _ = run(capsys, "sweep", "--kinds", "divisor", *window, "--format", "csv")
+    assert code == 0
+    assert len(once.splitlines()) == 6  # header + 5 divisor rows
+    code, twice, _ = run(capsys, "sweep", "--kinds", "divisor,divisor", *window, "--format", "csv")
+    assert (code, twice) == (0, once)
+    code, out, _ = run(capsys, "verify", "--kinds", "divisor,divisor", *window)
+    assert code == 0
+    assert out.startswith("0 mismatches / 5 cases\n")
+    assert "nonnegativity: 2 integer cases with negative dimension" in out
+
+
 def test_verify_rejects_format_as_usage_error(capsys):
     code, out, err = run(capsys, "verify", "--families", "pn", "--max-n", "4", "--format", "json")
     assert code == 1
@@ -271,6 +284,11 @@ def test_case_json_keeps_twelve_weights_in_index_order(capsys):
 # sha256 of stdout for representative commands.  A change to any of these
 # outputs must be deliberate: update the digest and record why in CHANGES.md.
 STDOUT_SHA256 = [
+    (("catalog",), "2288a43ee022c2fe1119c0cfda384d9ecf03e211e717954cb4ab6dc3702418cb"),
+    (
+        ("catalog", "--format", "csv"),
+        "dbf069f19d99e7742ff07680ed5783132094d670107af1fa6eee63112a5707f4",
+    ),
     (
         ("catalog", "--format", "json"),
         "d8d1fc776d9c0ad5c8a6672164241f54a2a946f7a9ccbac6899db36aed59ba0a",

@@ -112,6 +112,13 @@ def test_weighted_bases_opt_in():
     assert max(sums) <= 6
 
 
+def test_repeated_kinds_count_once():
+    bounds = SweepBounds(max_n=4, families=("pn",), kinds=(COVER, DIV, COVER, DIV))
+    assert bounds.kinds == (COVER, DIV)
+    assert sweep(bounds) == sweep(SweepBounds(max_n=4, families=("pn",), kinds=(DIV, COVER)))
+    assert len(list(iter_cases(SweepBounds(max_n=2, families=("pn",), kinds=(DIV, DIV))))) == 5
+
+
 def test_default_sweep_excludes_weighted_and_root():
     for case in iter_cases(SweepBounds(max_n=6)):
         assert case.base.id != "wpn"
