@@ -9,6 +9,8 @@ integer Calabi-Yau cases over a builtin catalog, and validates homology
 predictions for projective-space cases through Hodge theory.
 """
 
+import importlib
+
 from .autoeq import Generator, NormalForm, Word, resolve
 from .catalog import BUILTIN_IDS, LefschetzBase, builtin, fonarev_rank, load_catalog_file
 from .constructions import ALL_KINDS, ConstructionKind, SubstitutionTable, substitution_table
@@ -23,18 +25,21 @@ from .engine import (
     sweep,
     verify_cross_check,
 )
-from .hodge import (
-    HHProfile,
-    HodgeDiamond,
-    PoincareSeries,
-    cy_hh_check,
-    hh_component,
-    hh_pipeline,
-    hkr,
-    hodge_double_cover,
-    hodge_hypersurface,
-    jacobian_poincare,
-)
+
+#: Names served from :mod:`cycalc.hodge`, which is imported on first use
+#: (PEP 562) so that commands without a Hodge query do not load it.
+_HODGE_NAMES = frozenset({
+    "HHProfile",
+    "HodgeDiamond",
+    "PoincareSeries",
+    "cy_hh_check",
+    "hh_component",
+    "hh_pipeline",
+    "hkr",
+    "hodge_double_cover",
+    "hodge_hypersurface",
+    "jacobian_poincare",
+})
 
 __version__ = "0.1.0"
 
@@ -72,3 +77,10 @@ __all__ = [
     "sweep",
     "verify_cross_check",
 ]
+
+
+def __getattr__(name: str):
+    if name == "hodge" or name in _HODGE_NAMES:
+        hodge = importlib.import_module(".hodge", __name__)
+        return hodge if name == "hodge" else getattr(hodge, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -43,7 +43,6 @@ Only ``wpn``, whose parameter list has no fixed length, has its own rule.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import gcd
 from pathlib import Path
@@ -361,6 +360,8 @@ def base_from_record(record: object) -> LefschetzBase:
 
 def load_catalog_file(path: str | Path) -> list[LefschetzBase]:
     """Load and validate a user catalog; duplicate ids are rejected."""
+    import json
+
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:

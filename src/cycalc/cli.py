@@ -34,7 +34,6 @@ from .engine import (
     verify_cross_check,
 )
 from .errors import CycalcError, UnknownBase
-from .hodge import diamond_for_case, hh_pipeline
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -260,6 +259,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_hodge(args: argparse.Namespace) -> int:
+    from .hodge import diamond_for_case
+
     case = _analyze_args(args)
     base, kind = case.base, case.kind
     diamond = diamond_for_case(case)
@@ -285,6 +286,8 @@ def _cmd_hodge(args: argparse.Namespace) -> int:
 
 
 def _cmd_hh(args: argparse.Namespace) -> int:
+    from .hodge import hh_pipeline
+
     case = _analyze_args(args)
     base, kind = case.base, case.kind
     pipeline = hh_pipeline(case)

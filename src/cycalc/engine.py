@@ -36,7 +36,7 @@ from typing import Iterator
 from .autoeq import Generator, NormalForm, Word, resolve
 from .catalog import FAMILIES, LefschetzBase, builtin
 from .constructions import ALL_KINDS, ConstructionKind, check_case, substitution_table
-from .errors import CycalcError, NotPureShiftable
+from .errors import CycalcError, InvalidParams, NotPureShiftable, UnknownBase
 
 KIND_ORDER = {kind: index for index, kind in enumerate(ALL_KINDS)}
 
@@ -209,7 +209,9 @@ class SweepBounds:
     (all-ones weights duplicate ``pn`` and the weighted family is infinite in
     spirit); when enabled, weight multisets are enumerated in sorted order up
     to ``max_weight_sum``.  A kind given twice is swept once, in first-seen
-    order.
+    order.  Every id in ``families`` must select something: it is a builtin
+    family or an ``extra_bases`` id, and ``wpn`` needs ``include_weighted``;
+    an empty ``families`` is refused too.
     """
 
     max_n: int = 30
@@ -226,6 +228,22 @@ class SweepBounds:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kinds", tuple(dict.fromkeys(self.kinds)))
+        if self.families is None:
+            return
+        if not self.families:
+            raise InvalidParams("the families filter names no base id")
+        extra_ids = {base.id for base in self.extra_bases}
+        for family_id in self.families:
+            if family_id not in FAMILIES and family_id not in extra_ids:
+                raise UnknownBase(
+                    f"unknown base id {family_id!r} in the families filter; "
+                    f"builtins: {', '.join(FAMILIES)}"
+                )
+        if "wpn" in self.families and not self.include_weighted:
+            raise InvalidParams(
+                "the families filter names wpn, which is swept only with "
+                "--include-weighted (include_weighted=True)"
+            )
 
     def wants(self, family_id: str) -> bool:
         return self.families is None or family_id in self.families

@@ -8,13 +8,11 @@ header row.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .engine import CaseResult
-from .hodge import HHPipelineResult
+if TYPE_CHECKING:
+    from .engine import CaseResult
+    from .hodge import HHPipelineResult
 
 SCHEMA_VERSION = 1
 
@@ -85,6 +83,8 @@ def payload(records: Sequence[Mapping]) -> dict:
 
 
 def to_json(records: Sequence[Mapping]) -> str:
+    import json
+
     return json.dumps(payload(records), indent=2) + "\n"
 
 
@@ -103,6 +103,9 @@ def _csv_cell(value) -> str:
 def to_csv(records: Sequence[Mapping]) -> str:
     if not records:
         return ""
+    import csv
+    import io
+
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     header = list(records[0].keys())

@@ -10,6 +10,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 import cycalc
 
 from cycalc import cli
@@ -260,6 +262,32 @@ def test_repeated_kinds_count_once(capsys):
     assert code == 0
     assert out.startswith("0 mismatches / 5 cases\n")
     assert "nonnegativity: 2 integer cases with negative dimension" in out
+
+
+@pytest.mark.parametrize("command", ["sweep", "verify"])
+def test_family_filter_selecting_nothing_exit_2(capsys, command):
+    code, out, err = run(capsys, command, "--families", "pn,nope", "--max-n", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: unknown base id 'nope' in the families filter; builtins: pn, ")
+    code, out, err = run(capsys, command, "--families", "wpn")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "--include-weighted" in err
+    code, out, err = run(capsys, command, "--families", ",")
+    assert (code, out, err) == (2, "", "error: the families filter names no base id\n")
+
+
+def test_family_filter_accepts_user_catalog_ids(tmp_path, capsys, monkeypatch):
+    record = catalog_record(builtin("pn", {"n": 5}))
+    record["id"] = "mybase"
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps([record]), encoding="utf-8")
+    monkeypatch.setenv("CYCALC_CATALOG", str(path))
+    code, out, _ = run(capsys, "sweep", "--families", "mybase", "--cy-dim", "2", "--format", "csv")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [(row["base_id"], row["degree"]) for row in rows] == [("mybase", "3")]
+    code, out, _ = run(capsys, "verify", "--families", "mybase")
+    assert (code, out.splitlines()[0]) == (0, "0 mismatches / 18 cases")
 
 
 def test_verify_rejects_format_as_usage_error(capsys):

@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import pytest
+
 from cycalc.catalog import LefschetzBase
 from cycalc.constructions import ALL_KINDS, ConstructionKind
 from cycalc.engine import (
@@ -9,6 +11,7 @@ from cycalc.engine import (
     iter_cases,
     sweep,
 )
+from cycalc.errors import InvalidParams, UnknownBase
 from reference import negative_dimension_cases
 
 DIV = ConstructionKind.DIVISOR
@@ -117,6 +120,24 @@ def test_repeated_kinds_count_once():
     assert bounds.kinds == (COVER, DIV)
     assert sweep(bounds) == sweep(SweepBounds(max_n=4, families=("pn",), kinds=(DIV, COVER)))
     assert len(list(iter_cases(SweepBounds(max_n=2, families=("pn",), kinds=(DIV, DIV))))) == 5
+
+
+def test_family_filters_that_select_nothing_are_refused():
+    with pytest.raises(UnknownBase, match="unknown base id 'nope' in the families filter"):
+        SweepBounds(families=("pn", "nope"))
+    with pytest.raises(InvalidParams, match="names wpn.*--include-weighted"):
+        SweepBounds(families=("wpn",))
+    with pytest.raises(InvalidParams, match="names no base id"):
+        SweepBounds(families=())
+    # an extra base id is known only to the bounds that carry it
+    with pytest.raises(UnknownBase, match="'custom'"):
+        SweepBounds(families=("custom",))
+    custom = LefschetzBase(
+        id="custom", display_name="custom", dim_m=5, length_m=6, rank_b=1, line_bundle_note=""
+    )
+    bounds = SweepBounds(families=("custom", "pn"), extra_bases=(custom,))
+    assert bounds.families == ("custom", "pn")
+    assert SweepBounds(families=("wpn",), include_weighted=True).families == ("wpn",)
 
 
 def test_default_sweep_excludes_weighted_and_root():
