@@ -16,6 +16,7 @@ import argparse
 import os
 import sys
 from fractions import Fraction
+from typing import Iterable
 
 from . import records
 from .catalog import (
@@ -136,11 +137,12 @@ def _bounds(args: argparse.Namespace, default_kinds: tuple[ConstructionKind, ...
     )
 
 
-def _emit(rows: list[dict], fmt: str, table_columns=None) -> None:
+def _emit(rows: Iterable[dict], fmt: str, fields=None, table_columns=None) -> None:
+    """Render ``rows`` (any iterable; JSON and CSV consume it one row at a time)."""
     if fmt == "json":
         sys.stdout.write(records.to_json(rows))
     elif fmt == "csv":
-        sys.stdout.write(records.to_csv(rows))
+        sys.stdout.write(records.to_csv(rows, fields))
     else:
         sys.stdout.write(records.to_table(rows, table_columns))
 
@@ -231,7 +233,12 @@ def _analyze_args(args: argparse.Namespace) -> CaseResult:
 
 
 def _cmd_case(args: argparse.Namespace) -> int:
-    _emit([records.case_record(_analyze_args(args))], args.format, records.CASE_TABLE_COLUMNS)
+    _emit(
+        [records.case_record(_analyze_args(args))],
+        args.format,
+        records.CASE_FIELDS,
+        records.CASE_TABLE_COLUMNS,
+    )
     return EXIT_OK
 
 
@@ -239,7 +246,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     bounds = _bounds(args, default_kinds=SweepBounds().kinds)
     cy_dim = _parse_cy_dim(args.cy_dim) if args.cy_dim is not None else None
     results = sweep(bounds, cy_dim=cy_dim, integer_only=args.integer)
-    _emit([records.case_record(c) for c in results], args.format, records.CASE_TABLE_COLUMNS)
+    _emit(
+        (records.case_record(c) for c in results),
+        args.format,
+        records.CASE_FIELDS,
+        records.CASE_TABLE_COLUMNS,
+    )
     return EXIT_OK
 
 

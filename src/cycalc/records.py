@@ -4,17 +4,51 @@ Every JSON payload is one object {"schema_version": 1, "records": [...]} and
 every record repeats the schema_version field; record field order is fixed so
 repeated runs serialize byte-identically.  CSV uses RFC 4180 quoting with a
 header row.
+
+The renderers take any iterable of records.  JSON and CSV encode one record
+at a time, so a caller may pass a generator and no more than one record dict
+is alive at once; the table keeps its cells, because the column widths depend
+on every row.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Mapping, Sequence
+from itertools import chain
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 if TYPE_CHECKING:
     from .engine import CaseResult
     from .hodge import HHPipelineResult
 
 SCHEMA_VERSION = 1
+
+# Field order of ``case_record``; the CSV header of ``case`` and ``sweep``,
+# printed even when a sweep has no records.
+CASE_FIELDS = (
+    "schema_version",
+    "base_id",
+    "base",
+    "params",
+    "dim_m",
+    "length_m",
+    "rank_b",
+    "construction",
+    "degree",
+    "c",
+    "power",
+    "shift",
+    "ltwist",
+    "tau",
+    "chi",
+    "serre_power",
+    "witness_p",
+    "witness_q",
+    "cy_dimension",
+    "is_integer_cy",
+    "component_is_whole",
+    "dim_x",
+    "error",
+)
 
 
 def _fraction_str(value) -> str | None:
@@ -78,14 +112,23 @@ def hh_record(case: CaseResult, pipeline: HHPipelineResult) -> dict:
     }
 
 
-def payload(records: Sequence[Mapping]) -> dict:
-    return {"schema_version": SCHEMA_VERSION, "records": list(records)}
+def to_json(records: Iterable[Mapping]) -> str:
+    """The payload ``{"schema_version": 1, "records": [...]}`` and a newline,
+    byte for byte as ``json.dumps(payload, indent=2)`` prints it.
 
-
-def to_json(records: Sequence[Mapping]) -> str:
+    Each record is encoded on its own and indented into the fixed envelope:
+    the indenting encoder otherwise holds every fragment of the whole
+    document in one list before joining them.
+    """
     import json
 
-    return json.dumps(payload(records), indent=2) + "\n"
+    encode = json.JSONEncoder(indent=2).encode
+    parts = [f'{{\n  "schema_version": {SCHEMA_VERSION},\n  "records": [']
+    for record in records:
+        separator = ",\n    " if len(parts) > 1 else "\n    "
+        parts.append(separator + encode(record).replace("\n", "\n    "))
+    parts.append("\n  ]\n}\n" if len(parts) > 1 else "]\n}\n")
+    return "".join(parts)
 
 
 def _csv_cell(value) -> str:
@@ -100,28 +143,41 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def to_csv(records: Sequence[Mapping]) -> str:
-    if not records:
-        return ""
+def to_csv(records: Iterable[Mapping], header: Sequence[str] | None = None) -> str:
+    """CSV with a header row; ``header`` defaults to the first record's keys.
+
+    With no records the result is the header line alone, or empty when no
+    header was given.
+    """
+    records = iter(records)
+    if header is None:
+        first = next(records, None)
+        if first is None:
+            return ""
+        header = list(first)
+        records = chain((first,), records)
     import csv
     import io
 
     buffer = io.StringIO()
     writer = csv.writer(buffer)
-    header = list(records[0].keys())
     writer.writerow(header)
     for record in records:
         writer.writerow([_csv_cell(record.get(key)) for key in header])
     return buffer.getvalue()
 
 
-def to_table(records: Sequence[Mapping], columns: Sequence[str] | None = None) -> str:
-    """Fixed-width text table; column set defaults to the record keys."""
-    if not records:
+def to_table(records: Iterable[Mapping], columns: Sequence[str] | None = None) -> str:
+    """Fixed-width text table; column set defaults to the first record's keys."""
+    records = iter(records)
+    first = next(records, None)
+    if first is None:
         return "(no records)\n"
     if columns is None:
-        columns = [key for key in records[0] if key != "schema_version"]
-    rows = [[_csv_cell(record.get(col)) for col in columns] for record in records]
+        columns = [key for key in first if key != "schema_version"]
+    rows = [
+        [_csv_cell(record.get(col)) for col in columns] for record in chain((first,), records)
+    ]
     widths = [
         max(len(str(col)), *(len(row[i]) for row in rows)) for i, col in enumerate(columns)
     ]

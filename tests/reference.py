@@ -72,3 +72,8 @@ def catalog_record(base):
 def catalog_text(bases):
     """A catalog file holding the given bases."""
     return json.dumps([catalog_record(base) for base in bases], indent=2) + "\n"
+
+
+def json_payload(rows):
+    """The JSON output for ``rows``, rendered in one shot by the standard encoder."""
+    return json.dumps({"schema_version": 1, "records": list(rows)}, indent=2) + "\n"

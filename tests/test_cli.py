@@ -17,7 +17,7 @@ import cycalc
 from cycalc import cli
 from cycalc.catalog import builtin
 from cycalc.constructions import ConstructionKind
-from cycalc.records import SCHEMA_VERSION
+from cycalc.records import CASE_FIELDS, SCHEMA_VERSION
 from reference import catalog_record, catalog_text
 
 
@@ -196,6 +196,12 @@ def test_sweep_csv_quoting(capsys):
     rows = list(csv.reader(io.StringIO(out)))
     assert len(rows) == 4
     assert rows[0][0] == "schema_version"
+
+
+def test_empty_csv_sweep_prints_exactly_the_header(capsys):
+    code, out, _ = run(capsys, "sweep", "--families", "pn", "--max-n", "0", "--format", "csv")
+    assert code == 0
+    assert out == ",".join(CASE_FIELDS) + "\r\n"
 
 
 # ---------------------------------------------------------------------------
