@@ -25,8 +25,9 @@ Two layers are provided:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Mapping
+
+from .value import Value
 
 
 class Generator(enum.Enum):
@@ -53,22 +54,17 @@ class Generator(enum.Enum):
     SERRE_TWIST = "serre_twist"
 
 
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(Value):
     """Element (shift, L-twist, tau parity, chi parity) of the resolved group.
 
     ``tau`` and ``chi`` are stored reduced mod 2; composition is componentwise
     addition.  Instances are immutable and safe to share across threads.
     """
 
-    shift: int = 0
-    ltwist: int = 0
-    tau: int = 0
-    chi: int = 0
+    __slots__ = ("shift", "ltwist", "tau", "chi")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "tau", self.tau % 2)
-        object.__setattr__(self, "chi", self.chi % 2)
+    def __init__(self, shift: int = 0, ltwist: int = 0, tau: int = 0, chi: int = 0) -> None:
+        self._set(shift, ltwist, tau % 2, chi % 2)
 
     def compose(self, other: "NormalForm") -> "NormalForm":
         return NormalForm(
@@ -101,8 +97,7 @@ _BASE_FORMS: Mapping[Generator, NormalForm] = {
 }
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(Value):
     """Formal product of generator powers; the empty word is the identity.
 
     Exponents may be any integer.  Because every generator resolves into the
@@ -110,7 +105,10 @@ class Word:
     :func:`resolve` is invariant under permutations of ``factors``.
     """
 
-    factors: tuple[tuple[Generator, int], ...] = ()
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: tuple[tuple[Generator, int], ...] = ()) -> None:
+        self._set(factors)
 
 
 def resolve(word: Word, table: Mapping[Generator, NormalForm] | None = None) -> NormalForm:

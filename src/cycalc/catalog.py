@@ -43,40 +43,44 @@ Only ``wpn``, whose parameter list has no fixed length, has its own rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
-from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from .errors import InvalidParams, ParseError, UnknownBase, ValidationError
+from .value import Value
+
+if TYPE_CHECKING:
+    from pathlib import Path
 
 
-@dataclass(frozen=True)
-class LefschetzBase:
+class LefschetzBase(Value):
     """Numerical data of one rectangular Lefschetz decomposition.
 
     ``parameters`` may be given as a mapping or as ``(name, value)`` pairs; it
     is stored as a tuple of pairs in the order given, so bases are hashable.
     """
 
-    id: str
-    display_name: str
-    dim_m: int
-    length_m: int
-    rank_b: int
-    line_bundle_note: str
-    omega_is_l_minus_m: bool = True
-    parameters: tuple[tuple[str, int], ...] = ()
-    chi_stable: bool = True
+    __slots__ = (
+        "id", "display_name", "dim_m", "length_m", "rank_b", "line_bundle_note",
+        "omega_is_l_minus_m", "parameters", "chi_stable",
+    )
 
-    def __post_init__(self) -> None:
-        if self.length_m < 1:
-            raise ValidationError(f"length_m must be >= 1, got {self.length_m}")
-        if self.rank_b < 1:
-            raise ValidationError(f"rank_b must be >= 1, got {self.rank_b}")
-        if self.dim_m < 0:
-            raise ValidationError(f"dim_m must be >= 0, got {self.dim_m}")
-        object.__setattr__(self, "parameters", tuple(dict(self.parameters).items()))
+    def __init__(
+        self, id: str, display_name: str, dim_m: int, length_m: int, rank_b: int,
+        line_bundle_note: str, omega_is_l_minus_m: bool = True,
+        parameters: Mapping[str, int] | Iterable[tuple[str, int]] = (),
+        chi_stable: bool = True,
+    ) -> None:
+        if length_m < 1:
+            raise ValidationError(f"length_m must be >= 1, got {length_m}")
+        if rank_b < 1:
+            raise ValidationError(f"rank_b must be >= 1, got {rank_b}")
+        if dim_m < 0:
+            raise ValidationError(f"dim_m must be >= 0, got {dim_m}")
+        self._set(
+            id, display_name, dim_m, length_m, rank_b, line_bundle_note,
+            omega_is_l_minus_m, tuple(dict(parameters).items()), chi_stable,
+        )
 
     def param_key(self) -> tuple[int, ...]:
         """Parameter values in stored order, used as a deterministic sort key."""
@@ -113,18 +117,23 @@ def fonarev_rank(k: int, n: int) -> int:
     return sum(ways)
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(Value):
     """One builtin family: metadata plus an instantiation rule."""
 
-    id: str
-    display_name: str
-    param_names: tuple[str, ...]
-    dim_formula: str
-    length_formula: str
-    rank_formula: str
-    line_bundle_note: str
-    make: Callable[[Mapping[str, int]], LefschetzBase]
+    __slots__ = (
+        "id", "display_name", "param_names", "dim_formula", "length_formula",
+        "rank_formula", "line_bundle_note", "make",
+    )
+
+    def __init__(
+        self, id: str, display_name: str, param_names: tuple[str, ...], dim_formula: str,
+        length_formula: str, rank_formula: str, line_bundle_note: str,
+        make: Callable[[Mapping[str, int]], LefschetzBase],
+    ) -> None:
+        self._set(
+            id, display_name, param_names, dim_formula, length_formula, rank_formula,
+            line_bundle_note, make,
+        )
 
 
 def _require_params(family_id: str, params: Mapping[str, int], names: tuple[str, ...]) -> None:
@@ -361,6 +370,7 @@ def base_from_record(record: object) -> LefschetzBase:
 def load_catalog_file(path: str | Path) -> list[LefschetzBase]:
     """Load and validate a user catalog; duplicate ids are rejected."""
     import json
+    from pathlib import Path
 
     try:
         text = Path(path).read_text(encoding="utf-8")

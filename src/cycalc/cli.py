@@ -257,6 +257,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     report = verify_cross_check(_bounds(args, default_kinds=ALL_KINDS))
+    if not report.cases:
+        raise CycalcError("the verify window holds no case, so nothing was compared")
     print(f"{len(report.mismatches)} mismatches / {report.cases} cases")
     for base_id, params, kind, d in report.mismatches:
         print(f"  MISMATCH {base_id} {params} {kind} d={d}")

@@ -26,13 +26,13 @@ pushforward along such a cover is not spherical, so no table exists.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
 
 from .autoeq import Generator, NormalForm
 from .catalog import LefschetzBase
 from .errors import DegreeOutOfRange, HypothesisViolation, UnsupportedCoverDegree
+from .value import Value
 
 
 class ConstructionKind(enum.Enum):
@@ -65,30 +65,31 @@ ALL_KINDS: tuple[ConstructionKind, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class SubstitutionTable:
+class SubstitutionTable(Value):
     """Resolved normal forms of the symbolic generators for one case.
 
     ``entries`` is a read-only mapping.  It takes part in equality but not in
     the hash, which the other fields already determine.
     """
 
-    kind: ConstructionKind
-    d: int
-    m: int
-    dim_m: int
-    dim_x: int
-    entries: Mapping[Generator, NormalForm] = field(hash=False)
+    __slots__ = ("kind", "d", "m", "dim_m", "dim_x", "entries")
 
-    def __post_init__(self) -> None:
-        twist = self.entries[Generator.SPHERICAL_TWIST]
-        serre = self.entries[Generator.SERRE]
-        comp = twist.compose(NormalForm(ltwist=self.d))
-        if comp != self.entries[Generator.COMP_TWIST]:
+    def __init__(
+        self, kind: ConstructionKind, d: int, m: int, dim_m: int, dim_x: int,
+        entries: Mapping[Generator, NormalForm],
+    ) -> None:
+        twist = entries[Generator.SPHERICAL_TWIST]
+        serre = entries[Generator.SERRE]
+        comp = twist.compose(NormalForm(ltwist=d))
+        if comp != entries[Generator.COMP_TWIST]:
             raise AssertionError("comp_twist entry inconsistent with twist . L^d")
-        serre_twist = serre.compose(twist).compose(NormalForm(ltwist=self.m))
-        if serre_twist != self.entries[Generator.SERRE_TWIST]:
+        serre_twist = serre.compose(twist).compose(NormalForm(ltwist=m))
+        if serre_twist != entries[Generator.SERRE_TWIST]:
             raise AssertionError("serre_twist entry inconsistent with S . T . L^m")
+        self._set(kind, d, m, dim_m, dim_x, entries)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.d, self.m, self.dim_m, self.dim_x))
 
 
 def check_case(kind: ConstructionKind, d: int, base: LefschetzBase) -> None:

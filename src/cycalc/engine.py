@@ -28,7 +28,6 @@ integer, and the two notions are kept distinct throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Iterator
@@ -37,12 +36,12 @@ from .autoeq import Generator, NormalForm, Word, resolve
 from .catalog import FAMILIES, LefschetzBase, builtin
 from .constructions import ALL_KINDS, ConstructionKind, check_case, substitution_table
 from .errors import CycalcError, InvalidParams, NotPureShiftable, UnknownBase
+from .value import Value
 
 KIND_ORDER = {kind: index for index, kind in enumerate(ALL_KINDS)}
 
 
-@dataclass(frozen=True)
-class FractionalCYWitness:
+class FractionalCYWitness(Value):
     """Integers p, q with S^q = [p] for the component's Serre functor S.
 
     The witness is produced by the power reduction and is not claimed to be
@@ -50,25 +49,30 @@ class FractionalCYWitness:
     2d/c otherwise.
     """
 
-    p: int
-    q: int
+    __slots__ = ("p", "q")
+
+    def __init__(self, p: int, q: int) -> None:
+        self._set(p, q)
 
 
-@dataclass(frozen=True)
-class CaseResult:
+class CaseResult(Value):
     """Full analysis of one (base, construction, degree) case."""
 
-    base: LefschetzBase
-    kind: ConstructionKind
-    d: int
-    c: int
-    serre_power_nf: NormalForm | None
-    witness: FractionalCYWitness | None
-    cy_dimension: Fraction | None
-    is_integer_cy: bool
-    component_is_whole: bool
-    dim_x: int | None
-    error: str | None = None
+    __slots__ = (
+        "base", "kind", "d", "c", "serre_power_nf", "witness", "cy_dimension",
+        "is_integer_cy", "component_is_whole", "dim_x", "error",
+    )
+
+    def __init__(
+        self, base: LefschetzBase, kind: ConstructionKind, d: int, c: int,
+        serre_power_nf: NormalForm | None, witness: FractionalCYWitness | None,
+        cy_dimension: Fraction | None, is_integer_cy: bool, component_is_whole: bool,
+        dim_x: int | None, error: str | None = None,
+    ) -> None:
+        self._set(
+            base, kind, d, c, serre_power_nf, witness, cy_dimension, is_integer_cy,
+            component_is_whole, dim_x, error,
+        )
 
     @property
     def power(self) -> int:
@@ -199,8 +203,7 @@ def _error_case(base: LefschetzBase, kind: ConstructionKind, d: int, message: st
 IGR2_SWEEP_MIN_N = 3
 
 
-@dataclass(frozen=True)
-class SweepBounds:
+class SweepBounds(Value):
     """Finite enumeration window for catalog sweeps.
 
     ``kinds`` defaults to the two honest-variety constructions; root-stack
@@ -214,20 +217,24 @@ class SweepBounds:
     an empty ``families`` is refused too.
     """
 
-    max_n: int = 30
-    max_s: int = 5
-    max_weight_sum: int = 30
-    include_weighted: bool = False
-    kinds: tuple[ConstructionKind, ...] = (
-        ConstructionKind.DIVISOR,
-        ConstructionKind.DOUBLE_COVER,
+    __slots__ = (
+        "max_n", "max_s", "max_weight_sum", "include_weighted", "kinds", "families",
+        "igr2_min_n", "extra_bases",
     )
-    families: tuple[str, ...] | None = None
-    igr2_min_n: int = IGR2_SWEEP_MIN_N
-    extra_bases: tuple[LefschetzBase, ...] = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "kinds", tuple(dict.fromkeys(self.kinds)))
+    def __init__(
+        self, max_n: int = 30, max_s: int = 5, max_weight_sum: int = 30,
+        include_weighted: bool = False,
+        kinds: tuple[ConstructionKind, ...] = (
+            ConstructionKind.DIVISOR, ConstructionKind.DOUBLE_COVER,
+        ),
+        families: tuple[str, ...] | None = None, igr2_min_n: int = IGR2_SWEEP_MIN_N,
+        extra_bases: tuple[LefschetzBase, ...] = (),
+    ) -> None:
+        self._set(
+            max_n, max_s, max_weight_sum, include_weighted, tuple(dict.fromkeys(kinds)),
+            families, igr2_min_n, extra_bases,
+        )
         if self.families is None:
             return
         if not self.families:
@@ -357,11 +364,14 @@ def sweep(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    cases: int
-    mismatches: tuple[tuple[str, tuple, str, int], ...]
-    negatives: tuple[CaseResult, ...]
+class VerifyReport(Value):
+    __slots__ = ("cases", "mismatches", "negatives")
+
+    def __init__(
+        self, cases: int, mismatches: tuple[tuple[str, tuple, str, int], ...],
+        negatives: tuple[CaseResult, ...],
+    ) -> None:
+        self._set(cases, mismatches, negatives)
 
     @property
     def ok(self) -> bool:

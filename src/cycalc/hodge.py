@@ -33,9 +33,9 @@ which is the check :func:`cy_hh_check` performs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, chain, combinations, repeat
 from math import gcd
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .catalog import LefschetzBase
@@ -49,35 +49,28 @@ from .errors import (
     NotIntegerCY,
     SizeLimitExceeded,
 )
+from .value import Value
 
 #: Ceiling on the work of one diamond: the Poincare kernel's coefficient
 #: updates plus the (dim + 1)^2 cells of the Hodge table.
 MAX_HODGE_WORK = 2_000_000
 
 
-@dataclass(frozen=True)
-class PoincareSeries:
+class PoincareSeries(Value):
     """Finitely supported series with nonnegative integer coefficients."""
 
-    coefficients: tuple[int, ...]
+    __slots__ = ("coefficients",)
 
-    def __post_init__(self) -> None:
-        coeffs = list(self.coefficients)
+    def __init__(self, coefficients: tuple[int, ...]) -> None:
+        coeffs = list(coefficients)
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
-        object.__setattr__(self, "coefficients", tuple(coeffs))
+        self._set(tuple(coeffs))
 
     def coefficient(self, degree: int) -> int:
         if 0 <= degree < len(self.coefficients):
             return self.coefficients[degree]
         return 0
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def total(self) -> int:
-        return sum(self.coefficients)
 
 
 def _validate_weights(weights: Sequence[int], degree: int) -> None:
@@ -120,18 +113,20 @@ def jacobian_poincare(weights: Sequence[int], degree: int) -> PoincareSeries:
     return PoincareSeries(tuple(series))
 
 
-@dataclass(frozen=True)
-class HodgeDiamond:
+class HodgeDiamond(Value):
     """Hodge numbers h^{p,q} of a smooth projective variety or V-variety.
 
     Construction enforces conjugation symmetry h^{p,q} = h^{q,p}, duality
     h^{p,q} = h^{dim-p, dim-q}, and h^{0,0} = 1.
     """
 
-    dim_x: int
-    hodge: tuple[tuple[int, ...], ...]
+    __slots__ = ("dim_x", "hodge")
 
-    def __post_init__(self) -> None:
+    def __init__(self, dim_x: int, hodge: tuple[tuple[int, ...], ...]) -> None:
+        self._set(dim_x, hodge)
+        self._validate()
+
+    def _validate(self) -> None:
         n = self.dim_x
         if len(self.hodge) != n + 1 or any(len(row) != n + 1 for row in self.hodge):
             raise AssertionError("hodge table must be a (dim+1) x (dim+1) grid")
@@ -152,9 +147,6 @@ class HodgeDiamond:
     def middle_row(self) -> tuple[int, ...]:
         """h^{dim-q, q} for q = 0, ..., dim."""
         return tuple(self.hodge[self.dim_x - q][q] for q in range(self.dim_x + 1))
-
-    def total(self) -> int:
-        return sum(sum(row) for row in self.hodge)
 
 
 def _diamond_from_middle(dim_x: int, primitive: Sequence[int]) -> HodgeDiamond:
@@ -238,23 +230,29 @@ def hodge_double_cover(n: int, d: int) -> HodgeDiamond:
     return _weighted_diamond((1,) * (n + 1) + (d,), 2 * d)
 
 
-@dataclass(frozen=True)
-class HHProfile:
-    """Hochschild homology dimensions by degree; zero entries are dropped."""
+class HHProfile(Value):
+    """Hochschild homology dimensions by degree; zero entries are dropped.
 
-    dims: Mapping[int, int]
+    ``dims`` is a read-only mapping in increasing degree; the profile hashes
+    by its items.
+    """
 
-    def __post_init__(self) -> None:
-        cleaned = {k: v for k, v in self.dims.items() if v != 0}
+    __slots__ = ("dims",)
+
+    def __init__(self, dims: Mapping[int, int]) -> None:
+        cleaned = {k: v for k, v in dims.items() if v != 0}
         if any(v < 0 for v in cleaned.values()):
             raise NegativeDimension(f"negative homology dimension in {cleaned}")
-        object.__setattr__(self, "dims", dict(sorted(cleaned.items())))
+        self._set(MappingProxyType(dict(sorted(cleaned.items()))))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.dims.items()))
+
+    def __reduce__(self):
+        return HHProfile, (dict(self.dims),)
 
     def dim(self, k: int) -> int:
         return self.dims.get(k, 0)
-
-    def total(self) -> int:
-        return sum(self.dims.values())
 
     def __str__(self) -> str:
         if not self.dims:
@@ -292,8 +290,7 @@ def hh_component(hh_x: HHProfile, base: LefschetzBase, d: int) -> HHProfile:
     return HHProfile(dims)
 
 
-@dataclass(frozen=True)
-class HHCheckReport:
+class HHCheckReport(Value):
     """Outcome of the degree -n nonvanishing check for an integer CY case.
 
     ``passed`` is the nonvanishing requirement.  For hypersurfaces in
@@ -304,11 +301,12 @@ class HHCheckReport:
     spinor classes of an even quadric contribute as well.
     """
 
-    n_cy: int
-    value: int
-    nonvanishing: bool
-    expect_one: bool
-    is_one: bool | None
+    __slots__ = ("n_cy", "value", "nonvanishing", "expect_one", "is_one")
+
+    def __init__(
+        self, n_cy: int, value: int, nonvanishing: bool, expect_one: bool, is_one: bool | None
+    ) -> None:
+        self._set(n_cy, value, nonvanishing, expect_one, is_one)
 
     @property
     def passed(self) -> bool:
@@ -360,12 +358,14 @@ def diamond_for_case(case: CaseResult) -> HodgeDiamond:
     )
 
 
-@dataclass(frozen=True)
-class HHPipelineResult:
-    diamond: HodgeDiamond
-    hh_total: HHProfile
-    hh_component: HHProfile
-    check: HHCheckReport | None
+class HHPipelineResult(Value):
+    __slots__ = ("diamond", "hh_total", "hh_component", "check")
+
+    def __init__(
+        self, diamond: HodgeDiamond, hh_total: HHProfile, hh_component: HHProfile,
+        check: HHCheckReport | None,
+    ) -> None:
+        self._set(diamond, hh_total, hh_component, check)
 
 
 def hh_pipeline(case: CaseResult) -> HHPipelineResult:

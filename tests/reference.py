@@ -77,3 +77,28 @@ def catalog_text(bases):
 def json_payload(rows):
     """The JSON output for ``rows``, rendered in one shot by the standard encoder."""
     return json.dumps({"schema_version": 1, "records": list(rows)}, indent=2) + "\n"
+
+
+def replace(value, **changes):
+    """A copy of a cycalc value object with the named fields changed.
+
+    The copy is built through the class again, so it is validated and
+    normalised like any other instance.
+    """
+    fields = {name: getattr(value, name) for name in value.__slots__}
+    return type(value)(**{**fields, **changes})
+
+
+def series_degree(series):
+    """Top degree of a Poincare series: the index of its last nonzero coefficient."""
+    return len(series.coefficients) - 1
+
+
+def diamond_total(diamond):
+    """Sum of all Hodge numbers of a diamond."""
+    return sum(map(sum, diamond.hodge))
+
+
+def profile_total(profile):
+    """Total dimension of a Hochschild homology profile, over all degrees."""
+    return sum(profile.dims.values())

@@ -1,6 +1,5 @@
 """Builtin catalog, block-rank combinatorics, and the catalog file format."""
 
-import dataclasses
 import json
 from math import comb, gcd
 
@@ -16,7 +15,7 @@ from cycalc.catalog import (
     merge_user_catalog,
 )
 from cycalc.errors import InvalidParams, ParseError, UnknownBase, ValidationError
-from reference import catalog_record, catalog_text
+from reference import catalog_record, catalog_text, replace
 
 
 def enumerate_diagrams(k, n):
@@ -220,7 +219,7 @@ def test_twelve_weights_keep_index_order():
 
 
 def test_replace_normalises_parameters():
-    base = dataclasses.replace(builtin("pn", {"n": 2}), parameters={"n": 7})
+    base = replace(builtin("pn", {"n": 2}), parameters={"n": 7})
     assert base.parameters == (("n", 7),)
     assert base in {base}
 

@@ -282,6 +282,16 @@ def test_family_filter_selecting_nothing_exit_2(capsys, command):
     assert (code, out, err) == (2, "", "error: the families filter names no base id\n")
 
 
+def test_verify_that_compares_nothing_exit_2(capsys):
+    from cycalc.engine import SweepBounds, verify_cross_check
+
+    report = verify_cross_check(SweepBounds(max_n=0, families=("pn",)))
+    assert (report.cases, report.ok) == (0, True)
+    code, out, err = run(capsys, "verify", "--families", "pn", "--max-n", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: the verify window holds no case, so nothing was compared\n"
+
+
 def test_family_filter_accepts_user_catalog_ids(tmp_path, capsys, monkeypatch):
     record = catalog_record(builtin("pn", {"n": 5}))
     record["id"] = "mybase"
@@ -460,7 +470,7 @@ def test_hodge_self_check_failure_exits_3(capsys, monkeypatch):
     def broken(self):
         raise AssertionError("h^{0,0} must be 1")
 
-    monkeypatch.setattr(HodgeDiamond, "__post_init__", broken)
+    monkeypatch.setattr(HodgeDiamond, "_validate", broken)
     code, out, err = run(
         capsys, "hodge", "--base", "pn", "--n", "5",
         "--construction", "divisor", "--degree", "3",

@@ -1,7 +1,5 @@
 """Substitution tables for the three spherical constructions."""
 
-import dataclasses
-
 import pytest
 
 from cycalc.autoeq import Generator, NormalForm
@@ -18,6 +16,7 @@ from cycalc.errors import (
     HypothesisViolation,
     UnsupportedCoverDegree,
 )
+from reference import replace
 
 T = Generator.SPHERICAL_TWIST
 S = Generator.SERRE
@@ -92,7 +91,7 @@ def test_comp_twist_pattern():
 
 
 def test_table_consistency_invariant_holds_across_catalog():
-    # __post_init__ revalidates comp_twist = T.L^d and serre_twist = S.T.L^m
+    # the constructor revalidates comp_twist = T.L^d and serre_twist = S.T.L^m
     count = sum(1 for _ in all_catalog_tables())
     assert count > 500
 
@@ -106,13 +105,13 @@ def test_degree_out_of_range():
 
 
 def test_omega_hypothesis_enforced():
-    base = dataclasses.replace(builtin("pn", {"n": 5}), omega_is_l_minus_m=False)
+    base = replace(builtin("pn", {"n": 5}), omega_is_l_minus_m=False)
     with pytest.raises(HypothesisViolation):
         substitution_table(ConstructionKind.DIVISOR, 2, base)
 
 
 def test_root_requires_character_stability():
-    base = dataclasses.replace(builtin("pn", {"n": 5}), chi_stable=False)
+    base = replace(builtin("pn", {"n": 5}), chi_stable=False)
     with pytest.raises(HypothesisViolation):
         substitution_table(ConstructionKind.ROOT_STACK, 2, base)
     # the other constructions do not care
@@ -126,12 +125,12 @@ INVALID_CASES = [
     (
         ConstructionKind.DIVISOR,
         2,
-        dataclasses.replace(builtin("pn", {"n": 5}), omega_is_l_minus_m=False),
+        replace(builtin("pn", {"n": 5}), omega_is_l_minus_m=False),
     ),
     (
         ConstructionKind.ROOT_STACK,
         2,
-        dataclasses.replace(builtin("pn", {"n": 5}), chi_stable=False),
+        replace(builtin("pn", {"n": 5}), chi_stable=False),
     ),
 ]
 

@@ -32,7 +32,7 @@ from cycalc.hodge import (
     jacobian_poincare,
     weighted_hypersurface_diamond,
 )
-from reference import brute_force_jacobian_dim
+from reference import brute_force_jacobian_dim, diamond_total, profile_total, series_degree
 
 DIV = ConstructionKind.DIVISOR
 COVER = ConstructionKind.DOUBLE_COVER
@@ -51,7 +51,7 @@ def test_series_for_cubic_in_six_variables_is_binomial():
 def test_series_for_weighted_sextic():
     series = jacobian_poincare((1, 1, 1, 3), 6)
     assert series.coefficient(6) == 19
-    assert series.degree == sum(6 - 2 * w for w in (1, 1, 1, 3))
+    assert series_degree(series) == sum(6 - 2 * w for w in (1, 1, 1, 3))
 
 
 def test_series_degenerate_quadric_case():
@@ -112,7 +112,7 @@ def test_kernel_matches_convolution_and_enumeration_oracles(system, data):
     series = jacobian_poincare(weights, degree)
     assert series == convolution_poincare(weights, degree)
     top = sum(degree - 2 * w for w in weights)
-    assert series.degree == top
+    assert series_degree(series) == top
     targets = [0, top, top + 1]
     if data is not None:
         targets += data.draw(st.lists(st.integers(0, top), max_size=3), label="targets")
@@ -204,7 +204,7 @@ def test_cubic_fourfold_diamond():
 def test_degree_one_hypersurface_is_projective_space():
     for n in (2, 3, 5, 8):
         diamond = hodge_hypersurface(n, 1)
-        assert diamond.total() == n  # h^{p,p} = 1 for p = 0..n-1
+        assert diamond_total(diamond) == n  # h^{p,p} = 1 for p = 0..n-1
         for p in range(n):
             assert diamond.h(p, p) == 1
 
@@ -218,7 +218,7 @@ def test_quadric_threefold_diamond():
 def test_even_quadric_gets_extra_middle_class():
     diamond = hodge_double_cover(4, 1)  # double cover of P^4 in a quadric = Q^4
     assert diamond.h(2, 2) == 2
-    assert diamond.total() == 6
+    assert diamond_total(diamond) == 6
 
 
 def test_double_sextic_is_k3():
@@ -226,7 +226,7 @@ def test_double_sextic_is_k3():
     assert diamond.dim_x == 2
     assert diamond.h(2, 0) == diamond.h(0, 2) == 1
     assert diamond.h(1, 1) == 20
-    assert diamond.total() == 24
+    assert diamond_total(diamond) == 24
 
 
 def test_quartic_double_p5_middle():
@@ -320,7 +320,7 @@ def test_hkr_k3():
 def test_hkr_preserves_total_dimension():
     for n, d in ((3, 2), (4, 3), (5, 3), (6, 2), (5, 4)):
         diamond = hodge_hypersurface(n, d)
-        assert hkr(diamond).total() == diamond.total()
+        assert profile_total(hkr(diamond)) == diamond_total(diamond)
 
 
 def test_hkr_support_bounded_by_dimension():
@@ -446,7 +446,7 @@ def test_integer_cy_checks_over_projective_bases():
         if dict(case.base.parameters)["n"] < 2:
             continue  # no ambient Hodge machinery below P^2
         pipeline = hh_pipeline(case)
-        if pipeline.hh_component.total() == 0:
+        if profile_total(pipeline.hh_component) == 0:
             assert case.kind is DIV and case.d == 1
             assert not pipeline.check.nonvanishing
         else:

@@ -18,7 +18,7 @@ import cycalc
 from reference import catalog_text
 
 SRC = str(Path(cycalc.__file__).resolve().parents[1])
-WATCHED = ("cycalc.hodge", "json", "csv")
+WATCHED = ("cycalc.hodge", "json", "csv", "dataclasses", "inspect", "pathlib")
 
 
 def fresh(statements: str) -> tuple[bytes, list[str]]:
@@ -65,7 +65,28 @@ def test_reading_a_user_catalog_loads_json(tmp_path):
         "from cycalc import cli\nassert cli.main(['catalog']) == 0"
     )
     assert out.startswith(b"id ")
-    assert loaded == ["json"]
+    assert loaded == ["json", "pathlib"]
+
+
+QUERY = ("--base", "pn", "--n", "5", "--construction", "divisor", "--degree", "3")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("catalog", "--format", "csv"),
+        ("case", *QUERY, "--format", "json"),
+        ("sweep", "--families", "pn", "--max-n", "3", "--cy-dim", "2"),
+        ("verify", "--families", "pn", "--max-n", "3"),
+        ("hodge", *QUERY),
+        ("hh", *QUERY, "--format", "json"),
+    ],
+)
+def test_no_command_loads_dataclasses_inspect_or_pathlib(argv):
+    # the value classes are built without generated code, and pathlib is
+    # loaded only to read a user catalog
+    _, loaded = run_main(*argv)
+    assert not {"dataclasses", "inspect", "pathlib"} & set(loaded)
 
 
 # sha256 of stdout, recorded when the CLI still imported the Hodge layer at
