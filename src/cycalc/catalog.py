@@ -36,21 +36,24 @@ other fixed entries (its quadric sections behave exactly like those of the
 homogeneous fixed entries) rather than a member of an infinite family here.
 
 A new family is one ``FAMILIES`` row: ``_family`` takes its catalog strings,
-its parameter names, an optional lower bound and a rule from the parameter
-values to the base, and ``_fixed`` does the same for a parameterless entry.
-Only ``wpn``, whose parameter list has no fixed length, has its own rule.
+its parameter names, an optional lower bound, a rule from the parameter
+values to the base and a sweep window yielding parameters in ``param_key``
+order, and ``_fixed`` does the same for a parameterless entry.  Only ``wpn``,
+whose parameter list has no fixed length, has its own rules.
 """
 
 from __future__ import annotations
 
 from math import gcd
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
 
 from .errors import InvalidParams, ParseError, UnknownBase, ValidationError
 from .value import Value
 
 if TYPE_CHECKING:
     from pathlib import Path
+
+    from .engine import SweepBounds
 
 
 class LefschetzBase(Value):
@@ -118,21 +121,22 @@ def fonarev_rank(k: int, n: int) -> int:
 
 
 class Family(Value):
-    """One builtin family: metadata plus an instantiation rule."""
+    """One builtin family: metadata, an instantiation rule and a sweep window."""
 
     __slots__ = (
         "id", "display_name", "param_names", "dim_formula", "length_formula",
-        "rank_formula", "line_bundle_note", "make",
+        "rank_formula", "line_bundle_note", "make", "window",
     )
 
     def __init__(
         self, id: str, display_name: str, param_names: tuple[str, ...], dim_formula: str,
         length_formula: str, rank_formula: str, line_bundle_note: str,
         make: Callable[[Mapping[str, int]], LefschetzBase],
+        window: Callable[[SweepBounds], Iterable[Mapping[str, int]]],
     ) -> None:
         self._set(
             id, display_name, param_names, dim_formula, length_formula, rank_formula,
-            line_bundle_note, make,
+            line_bundle_note, make, window,
         )
 
 
@@ -176,6 +180,42 @@ def _make_wpn(params: Mapping[str, int]) -> LefschetzBase:
     )
 
 
+def _weight_multisets(total_max: int) -> Iterator[tuple[int, ...]]:
+    """Nondecreasing weight tuples (w0 <= w1 <= ...) with sum <= total_max.
+
+    The depth-first walk yields them in lexicographic order, each prefix
+    before its extensions.  It keeps the current tuple in a list instead of
+    recursing, so a tuple may be as long as ``total_max``.
+    """
+    weights: list[int] = []
+    total = 0
+    while True:
+        smallest = weights[-1] if weights else 1
+        if total + smallest <= total_max:
+            # descend: the first extension repeats the last weight
+            weights.append(smallest)
+            total += smallest
+        else:
+            # climb: raise the deepest weight that can still grow
+            while weights:
+                w = weights.pop()
+                total -= w
+                if total + w + 1 <= total_max:
+                    weights.append(w + 1)
+                    total += w + 1
+                    break
+            else:
+                return
+        if len(weights) >= 2:
+            yield tuple(weights)
+
+
+def _wpn_window(bounds: SweepBounds) -> Iterator[dict[str, int]]:
+    if bounds.include_weighted:
+        for weights in _weight_multisets(bounds.max_weight_sum):
+            yield {f"w{i}": w for i, w in enumerate(weights)}
+
+
 def _family(
     family_id: str,
     name: str,
@@ -185,9 +225,10 @@ def _family(
     rank_formula: str,
     note: str,
     base: Callable[..., tuple[str, int, int, int, str]],
+    window: Callable[[SweepBounds], Iterable[Mapping[str, int]]],
     minimum: int | None = None,
 ) -> Family:
-    """One builtin family: its catalog strings plus a rule for its bases.
+    """One builtin family: its catalog strings, a rule for its bases, its window.
 
     ``base`` maps the parameter values, in ``param_names`` order, to the base's
     display name, dim M, m, rk B and line-bundle note.  ``minimum`` bounds a
@@ -207,7 +248,8 @@ def _family(
         )
 
     return Family(
-        family_id, name, param_names, dim_formula, length_formula, rank_formula, note, make
+        family_id, name, param_names, dim_formula, length_formula, rank_formula, note, make,
+        window,
     )
 
 
@@ -218,6 +260,7 @@ def _fixed(
     return _family(
         base_id, name, (), str(dim_m), str(m), str(rank), note,
         lambda: (display, dim_m, m, rank, note),
+        lambda bounds: [{}],
     )
 
 
@@ -227,6 +270,7 @@ FAMILIES: dict[str, Family] = {
         _family(
             "pn", "projective space P^n", ("n",), "n", "n+1", "1", "O(1)",
             lambda n: (f"P^{n}", n, n + 1, 1, "O(1)"),
+            lambda b: ({"n": n} for n in range(1, b.max_n + 1)),
             minimum=1,
         ),
         Family(
@@ -238,6 +282,7 @@ FAMILIES: dict[str, Family] = {
             "1",
             "O(1) on the smooth toric stack",
             _make_wpn,
+            _wpn_window,
         ),
         _family(
             "quadric4s2", "smooth quadric of dimension 4s+2", ("s",), "4s+2", "2", "2s+2",
@@ -246,6 +291,7 @@ FAMILIES: dict[str, Family] = {
                 f"Q^{4 * s + 2}", 4 * s + 2, 2, 2 * s + 2,
                 f"O({2 * s + 1}); block = O,...,O(2s) plus one spinor bundle",
             ),
+            lambda b: ({"s": s} for s in range(1, b.max_s + 1)),
             minimum=1,
         ),
         _family(
@@ -253,6 +299,13 @@ FAMILIES: dict[str, Family] = {
             "C(n,k)/n", "Pluecker O(1)",
             # fonarev_rank validates 1 <= k < n and coprimality
             lambda k, n: (f"Gr({k},{n})", k * (n - k), n, fonarev_rank(k, n), "Pluecker O(1)"),
+            # 2 <= k and 2k < n: Gr(1,n) has the numerics of P^(n-1), Gr(n-k,n) those of Gr(k,n)
+            lambda b: (
+                {"k": k, "n": n}
+                for k in range(2, (b.max_n + 1) // 2)
+                for n in range(2 * k + 1, b.max_n + 1)
+                if gcd(k, n) == 1
+            ),
         ),
         _family(
             "ogr2", "orthogonal Grassmannian OGr(2,2n+1)", ("n",), "4n-5", "2n-2", "n", "O(1)",
@@ -260,6 +313,7 @@ FAMILIES: dict[str, Family] = {
                 f"OGr(2,{2 * n + 1})", 4 * n - 5, 2 * n - 2, n,
                 "O(1); block = symmetric powers of U^v plus the spinor bundle",
             ),
+            lambda b: ({"n": n} for n in range(2, b.max_n + 1)),
             minimum=2,
         ),
         _fixed(
@@ -280,6 +334,7 @@ FAMILIES: dict[str, Family] = {
                 f"IGr(2,{2 * n + 1})", 4 * n - 3, 2 * n, n,
                 "O(1); block = O, U^v, ..., S^(n-1) U^v",
             ),
+            lambda b: ({"n": n} for n in range(b.igr2_min_n, b.max_n + 1)),
             minimum=2,
         ),
         _fixed(

@@ -6,7 +6,7 @@ Exit codes: 0 success, 1 usage error, 2 domain or validation error,
 3 internal consistency failure (word-algebra vs closed-form mismatch).
 
 The environment variable CYCALC_CATALOG may name a JSON catalog file whose
-concrete bases are merged after the builtins; an id colliding with a builtin
+concrete bases are merged with the builtins; an id colliding with a builtin
 family is an error.
 """
 
@@ -259,6 +259,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     report = verify_cross_check(_bounds(args, default_kinds=ALL_KINDS))
     if not report.cases:
         raise CycalcError("the verify window holds no case, so nothing was compared")
+    if not report.compared:
+        raise CycalcError(
+            f"none of the {report.cases} cases of the verify window exists on its base, "
+            "so nothing was compared"
+        )
     print(f"{len(report.mismatches)} mismatches / {report.cases} cases")
     for base_id, params, kind, d in report.mismatches:
         print(f"  MISMATCH {base_id} {params} {kind} d={d}")

@@ -30,15 +30,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import attrgetter
 from typing import Iterator
 
 from .autoeq import Generator, NormalForm, Word, resolve
 from .catalog import FAMILIES, LefschetzBase, builtin
 from .constructions import ALL_KINDS, ConstructionKind, check_case, substitution_table
-from .errors import CycalcError, InvalidParams, NotPureShiftable, UnknownBase
+from .errors import (
+    CycalcError, InvalidParams, NotPureShiftable, SizeLimitExceeded, UnknownBase,
+)
 from .value import Value
-
-KIND_ORDER = {kind: index for index, kind in enumerate(ALL_KINDS)}
 
 
 class FractionalCYWitness(Value):
@@ -78,9 +79,6 @@ class CaseResult(Value):
     def power(self) -> int:
         """Exponent q0 = d/c of the Serre functor the normal form describes."""
         return self.d // self.c
-
-    def sort_key(self) -> tuple:
-        return (self.base.id, self.base.param_key(), KIND_ORDER[self.kind], self.d)
 
 
 def serre_power(base: LefschetzBase, kind: ConstructionKind, d: int) -> NormalForm:
@@ -202,6 +200,12 @@ def _error_case(base: LefschetzBase, kind: ConstructionKind, d: int, message: st
 #: remains available through explicit analysis and custom bounds.
 IGR2_SWEEP_MIN_N = 3
 
+#: Ceiling on the cases of one sweep or verify window: the sum over its bases
+#: of m times the number of kinds.  The largest default window,
+#: ``verify --include-weighted`` (weight sum <= 30, all three kinds), holds
+#: 2,261,139 cases.
+MAX_WINDOW_CASES = 3_000_000
+
 
 class SweepBounds(Value):
     """Finite enumeration window for catalog sweeps.
@@ -210,8 +214,8 @@ class SweepBounds(Value):
     cases duplicate double-cover numerics with a character in place of the
     involution and are opt-in.  Weighted projective bases are likewise opt-in
     (all-ones weights duplicate ``pn`` and the weighted family is infinite in
-    spirit); when enabled, weight multisets are enumerated in sorted order up
-    to ``max_weight_sum``.  A kind given twice is swept once, in first-seen
+    spirit) and run up to weight sum ``max_weight_sum``.  A kind given twice
+    is kept once, in first-seen order; windows sweep kinds in ``ALL_KINDS``
     order.  Every id in ``families`` must select something: it is a builtin
     family or an ``extra_bases`` id, and ``wpn`` needs ``include_weighted``;
     an empty ``families`` is refused too.
@@ -252,65 +256,43 @@ class SweepBounds(Value):
                 "--include-weighted (include_weighted=True)"
             )
 
-    def wants(self, family_id: str) -> bool:
-        return self.families is None or family_id in self.families
-
-
-def _weight_multisets(total_max: int) -> Iterator[tuple[int, ...]]:
-    """Nondecreasing weight tuples (w0 <= w1 <= ...) with sum <= total_max.
-
-    The depth-first walk yields them in lexicographic order, each prefix
-    before its extensions.
-    """
-
-    def extend(prefix: tuple[int, ...], remaining: int, minimum: int) -> Iterator[tuple[int, ...]]:
-        if len(prefix) >= 2:
-            yield prefix
-        for w in range(minimum, remaining + 1):
-            yield from extend(prefix + (w,), remaining - w, w)
-
-    yield from extend((), total_max, 1)
-
 
 def iter_sweep_bases(bounds: SweepBounds) -> Iterator[LefschetzBase]:
-    """Deterministic enumeration of catalog bases within the bounds.
+    """The bases of the window, ordered by id and then by parameters.
 
-    Grassmannians are canonicalized to 2 <= k <= n-k: Gr(1,n) has the same
-    numerics as P^(n-1) and Gr(n-k,n) the same as Gr(k,n), so wider ranges
-    would only duplicate rows.
+    Families and ``extra_bases`` are merged by id (ids are distinct, as the
+    catalog loader ensures), each family in its window's order.
     """
-    if bounds.wants("pn"):
-        for n in range(1, bounds.max_n + 1):
-            yield builtin("pn", {"n": n})
-    if bounds.wants("wpn") and bounds.include_weighted:
-        for weights in _weight_multisets(bounds.max_weight_sum):
-            yield builtin("wpn", {f"w{i}": w for i, w in enumerate(weights)})
-    if bounds.wants("quadric4s2"):
-        for s in range(1, bounds.max_s + 1):
-            yield builtin("quadric4s2", {"s": s})
-    if bounds.wants("gr"):
-        for n in range(4, bounds.max_n + 1):
-            for k in range(2, n // 2 + 1):
-                if gcd(k, n) == 1:
-                    yield builtin("gr", {"k": k, "n": n})
-    if bounds.wants("ogr2"):
-        for n in range(2, bounds.max_n + 1):
-            yield builtin("ogr2", {"n": n})
-    if bounds.wants("igr2"):
-        for n in range(bounds.igr2_min_n, bounds.max_n + 1):
-            yield builtin("igr2", {"n": n})
-    for family in FAMILIES.values():
-        if family.param_names == () and bounds.wants(family.id):
-            yield builtin(family.id)
-    for base in bounds.extra_bases:
-        if bounds.families is None or base.id in bounds.families:
-            yield base
+    for source in sorted([*FAMILIES.values(), *bounds.extra_bases], key=attrgetter("id")):
+        if bounds.families is not None and source.id not in bounds.families:
+            continue
+        if isinstance(source, LefschetzBase):
+            yield source
+        else:
+            for params in source.window(bounds):
+                yield builtin(source.id, params)
 
 
 def _window(bounds: SweepBounds) -> Iterator[tuple[LefschetzBase, ConstructionKind, int]]:
-    """Every (base, kind, d) triple of the window, in enumeration order."""
+    """Every (base, kind, d) triple of the window, in output order.
+
+    That order is (base id, parameters, kind in ``ALL_KINDS`` order, d).  The
+    bases are collected first, so a window over :data:`MAX_WINDOW_CASES` is
+    refused before any case is analysed.
+    """
+    kinds = [kind for kind in ALL_KINDS if kind in bounds.kinds]
+    bases = []
+    cases = 0
     for base in iter_sweep_bases(bounds):
-        for kind in bounds.kinds:
+        cases += base.length_m * len(kinds)
+        if cases > MAX_WINDOW_CASES:
+            raise SizeLimitExceeded(
+                f"the window holds more than {MAX_WINDOW_CASES:,} cases; refused "
+                f"(narrow it with --max-n, --max-s, --max-weight-sum, --kinds or --families)"
+            )
+        bases.append(base)
+    for base in bases:
+        for kind in kinds:
             for d in range(1, base.length_m + 1):
                 yield base, kind, d
 
@@ -335,8 +317,8 @@ def sweep(
     dimension (q = 1 witnesses only); a non-integral one selects fractional
     components with that exact reduced dimension.  Dimension filters and
     ``integer_only`` look at proper components only, so d = m rows (where the
-    component is the whole derived category) are excluded.  The result is
-    sorted by (base id, parameters, construction, degree).
+    component is the whole derived category) are excluded.  The result is in
+    (base id, parameters, construction, degree) order, as the window is walked.
     """
     bounds = bounds or SweepBounds()
     if cy_dim is not None:
@@ -355,7 +337,6 @@ def sweep(
                 elif case.cy_dimension != cy_dim:
                     continue
         results.append(case)
-    results.sort(key=CaseResult.sort_key)
     return results
 
 
@@ -365,13 +346,17 @@ def sweep(
 
 
 class VerifyReport(Value):
-    __slots__ = ("cases", "mismatches", "negatives")
+    """What a cross-check saw: ``cases`` in the window, of which ``compared``
+    had a closed form to compare against (the rest do not exist on their base).
+    """
+
+    __slots__ = ("cases", "mismatches", "negatives", "compared")
 
     def __init__(
         self, cases: int, mismatches: tuple[tuple[str, tuple, str, int], ...],
-        negatives: tuple[CaseResult, ...],
+        negatives: tuple[CaseResult, ...], compared: int,
     ) -> None:
-        self._set(cases, mismatches, negatives)
+        self._set(cases, mismatches, negatives, compared)
 
     @property
     def ok(self) -> bool:
@@ -386,7 +371,7 @@ def verify_cross_check(bounds: SweepBounds | None = None) -> VerifyReport:
     """
     if bounds is None:
         bounds = SweepBounds(kinds=ALL_KINDS)
-    total = 0
+    total = compared = 0
     mismatches = []
     negatives = []
     for base, kind, d in _window(bounds):
@@ -395,6 +380,7 @@ def verify_cross_check(bounds: SweepBounds | None = None) -> VerifyReport:
             via_formula = closed_form(base, kind, d)
         except CycalcError:
             continue  # the construction does not exist on this base
+        compared += 1
         try:
             case = analyze(base, kind, d)
         except CycalcError:
@@ -406,4 +392,6 @@ def verify_cross_check(bounds: SweepBounds | None = None) -> VerifyReport:
             mismatches.append((base.id, base.param_key(), kind.value, d))
         if case.is_integer_cy and not case.component_is_whole and case.witness.p < 0:
             negatives.append(case)
-    return VerifyReport(cases=total, mismatches=tuple(mismatches), negatives=tuple(negatives))
+    return VerifyReport(
+        cases=total, mismatches=tuple(mismatches), negatives=tuple(negatives), compared=compared
+    )

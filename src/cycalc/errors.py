@@ -59,8 +59,8 @@ class HodgeUnsupported(CycalcError):
 
 
 class SizeLimitExceeded(CycalcError):
-    """A Hodge/Hochschild request would exceed the work ceiling; it is refused
-    before any series or table is built."""
+    """A Hodge/Hochschild request or a sweep window would exceed its size
+    ceiling; it is refused before any series, table or case is computed."""
 
 
 class ParseError(CycalcError):

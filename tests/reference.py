@@ -7,7 +7,15 @@ direct means, something that ``cycalc`` computes faster or as a side effect.
 import json
 from functools import cache
 
+from cycalc.constructions import ALL_KINDS
 from cycalc.hodge import _validate_weights
+
+KIND_ORDER = {kind: index for index, kind in enumerate(ALL_KINDS)}
+
+
+def sort_key(case):
+    """The documented order of sweep records: base id, parameters, construction, degree."""
+    return (case.base.id, case.base.param_key(), KIND_ORDER[case.kind], case.d)
 
 
 def brute_force_jacobian_dim(weights, degree, target):

@@ -16,7 +16,7 @@ import cycalc
 
 from cycalc import cli
 from cycalc.catalog import builtin
-from cycalc.constructions import ConstructionKind
+from cycalc.constructions import ALL_KINDS, ConstructionKind
 from cycalc.records import CASE_FIELDS, SCHEMA_VERSION
 from reference import catalog_record, catalog_text
 
@@ -292,6 +292,25 @@ def test_verify_that_compares_nothing_exit_2(capsys):
     assert err == "error: the verify window holds no case, so nothing was compared\n"
 
 
+def test_verify_that_compares_no_case_of_its_window_exit_2(tmp_path, capsys, monkeypatch):
+    from cycalc.engine import SweepBounds, verify_cross_check
+
+    record = catalog_record(builtin("pn", {"n": 3}))
+    record.update(id="flat", omega_is_l_minus_m=False)
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps([record]), encoding="utf-8")
+    monkeypatch.setenv("CYCALC_CATALOG", str(path))
+    flat = SweepBounds(kinds=ALL_KINDS, families=("flat",), extra_bases=cli._user_bases())
+    report = verify_cross_check(flat)
+    assert (report.cases, report.compared, report.ok) == (12, 0, True)
+    code, out, err = run(capsys, "verify", "--families", "flat")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: none of the 12 cases of the verify window exists on its base, "
+        "so nothing was compared\n"
+    )
+
+
 def test_family_filter_accepts_user_catalog_ids(tmp_path, capsys, monkeypatch):
     record = catalog_record(builtin("pn", {"n": 5}))
     record["id"] = "mybase"
@@ -462,6 +481,27 @@ def test_oversized_hodge_exits_2_quickly_without_traceback():
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sweep", "--max-n", "100000"),
+        ("sweep", "--include-weighted", "--max-weight-sum", "40"),
+        ("verify", "--max-n", "100000"),
+    ],
+)
+def test_oversized_window_exits_2_quickly_without_traceback(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(cycalc.__file__).resolve().parents[1]))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "cycalc", *argv], capture_output=True, text=True, env=env,
+        timeout=60,
+    )
+    assert time.perf_counter() - start < 10
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: the window holds more than 3,000,000 cases; refused")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_hodge_self_check_failure_exits_3(capsys, monkeypatch):

@@ -7,12 +7,11 @@ from math import gcd
 import pytest
 
 from cycalc.autoeq import Generator, NormalForm
-from cycalc.catalog import builtin
+from cycalc.catalog import _weight_multisets, builtin
 from cycalc.constructions import ALL_KINDS, ConstructionKind, substitution_table
 from cycalc.engine import (
     FractionalCYWitness,
     SweepBounds,
-    _weight_multisets,
     analyze,
     closed_form,
     extract_witness,
@@ -196,6 +195,11 @@ def test_weight_multisets_come_out_sorted():
     assert len(multisets) == 28_598
     assert multisets == sorted(multisets)
     assert all(list(w) == sorted(w) for w in multisets)
+
+
+def test_weight_multisets_reach_a_1500_long_tuple():
+    # the walk keeps one list, not one stack frame per weight
+    assert next(w for w in _weight_multisets(1500) if len(w) == 1500) == (1,) * 1500
 
 
 def test_whole_component_power_equals_source_serre_functor():

@@ -3,8 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cycalc.catalog import LefschetzBase
+from cycalc.catalog import FAMILIES, LefschetzBase, _family
 from cycalc.constructions import ALL_KINDS, ConstructionKind
 from cycalc.engine import (
     SweepBounds,
@@ -12,7 +14,7 @@ from cycalc.engine import (
     sweep,
 )
 from cycalc.errors import InvalidParams, UnknownBase
-from reference import negative_dimension_cases
+from reference import negative_dimension_cases, sort_key
 
 DIV = ConstructionKind.DIVISOR
 COVER = ConstructionKind.DOUBLE_COVER
@@ -82,7 +84,7 @@ def test_sweep_is_sorted_and_deterministic():
     first = sweep(SweepBounds(max_n=9))
     second = sweep(SweepBounds(max_n=9))
     assert [signature(c) for c in first] == [signature(c) for c in second]
-    keys = [c.sort_key() for c in first]
+    keys = [sort_key(c) for c in first]
     assert keys == sorted(keys)
 
 
@@ -179,3 +181,75 @@ def test_user_base_participates_in_sweeps():
     results = sweep(SweepBounds(families=("custom",), extra_bases=(solid,)), cy_dim=2)
     # same numerics as the cubic fourfold case
     assert {(c.base.id, c.d, c.kind) for c in results} == {("custom", 3, DIV)}
+
+
+# ---------------------------------------------------------------------------
+# Enumeration order is output order
+# ---------------------------------------------------------------------------
+
+#: Extra base ids that sort before, between and after the builtin ids.
+EXTRA_IDS = ("a", "gr1", "h", "pz", "zz")
+
+
+@st.composite
+def windows(draw):
+    include_weighted = draw(st.booleans())
+    extra_bases = tuple(
+        LefschetzBase(
+            id=base_id,
+            display_name=base_id,
+            dim_m=draw(st.integers(0, 6)),
+            length_m=draw(st.integers(1, 6)),
+            rank_b=1,
+            line_bundle_note="",
+            omega_is_l_minus_m=draw(st.booleans()),
+            chi_stable=draw(st.booleans()),
+        )
+        for base_id in draw(st.lists(st.sampled_from(EXTRA_IDS), unique=True))
+    )
+    ids = [i for i in FAMILIES if include_weighted or i != "wpn"]
+    ids += [base.id for base in extra_bases]
+    families = draw(st.none() | st.lists(st.sampled_from(ids), min_size=1, unique=True))
+    return SweepBounds(
+        max_n=draw(st.integers(0, 12)),
+        max_s=draw(st.integers(0, 3)),
+        max_weight_sum=draw(st.integers(0, 10)),
+        include_weighted=include_weighted,
+        kinds=tuple(draw(st.lists(st.sampled_from(ALL_KINDS), min_size=1, max_size=5))),
+        families=None if families is None else tuple(families),
+        igr2_min_n=draw(st.integers(2, 4)),
+        extra_bases=extra_bases,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(windows(), st.data())
+def test_enumeration_order_is_output_order(bounds, data):
+    cases = list(iter_cases(bounds))
+    brute = sorted(cases, key=sort_key)
+    assert cases == brute
+    proper = [c for c in brute if c.error is None and not c.component_is_whole]
+    assert sweep(bounds, integer_only=True) == [c for c in proper if c.is_integer_cy]
+    cy_dim = data.draw(st.sampled_from(sorted({c.cy_dimension for c in proper} | {2})))
+    assert sweep(bounds, cy_dim=cy_dim) == [
+        c for c in proper
+        if c.cy_dimension == cy_dim and (cy_dim.denominator > 1 or c.is_integer_cy)
+    ]
+
+
+def test_a_new_family_is_one_row_and_sweeps_in_order(monkeypatch):
+    # P^n x P^n with L = O(1,1): the p3xp3 entry is its n = 3 member
+    row = _family(
+        "pnxpn", "product P^n x P^n", ("n",), "2n", "n+1", "n+1", "O(1,1)",
+        lambda n: (f"P^{n} x P^{n}", 2 * n, n + 1, n + 1, "O(1,1)"),
+        lambda bounds: ({"n": n} for n in range(1, bounds.max_n + 1)),
+        minimum=1,
+    )
+    monkeypatch.setitem(FAMILIES, "pnxpn", row)
+    bounds = SweepBounds(max_n=4, max_s=1, families=("quadric4s2", "pnxpn", "pn"))
+    cases = sweep(bounds)
+    assert cases == sorted(cases, key=sort_key)
+    assert list(dict.fromkeys(c.base.id for c in cases)) == ["pn", "pnxpn", "quadric4s2"]
+    assert sum(c.base.id == "pnxpn" for c in cases) == 2 * (2 + 3 + 4 + 5)
+    threefolds = {signature(c) for c in sweep(bounds, cy_dim=3)}
+    assert ("pnxpn", (3,), DIV, 2) in threefolds
