@@ -36,8 +36,6 @@ _HODGE_NAMES = frozenset({
     "hh_component",
     "hh_pipeline",
     "hkr",
-    "hodge_double_cover",
-    "hodge_hypersurface",
     "jacobian_poincare",
 })
 
@@ -67,8 +65,6 @@ __all__ = [
     "hh_component",
     "hh_pipeline",
     "hkr",
-    "hodge_double_cover",
-    "hodge_hypersurface",
     "jacobian_poincare",
     "load_catalog_file",
     "resolve",

@@ -44,7 +44,7 @@ whose parameter list has no fixed length, has its own rules.
 
 from __future__ import annotations
 
-from math import gcd
+from math import comb, gcd
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
 
 from .errors import InvalidParams, ParseError, UnknownBase, ValidationError
@@ -93,31 +93,17 @@ class LefschetzBase(Value):
 def fonarev_rank(k: int, n: int) -> int:
     """Number of exceptional objects in one block for Gr(k,n), coprime k, n.
 
-    Counts weakly decreasing diagrams (a_1 >= ... >= a_{k-1} >= 0) with
-    a_p < (n-k)(k-p)/k.  Coprimality makes every bound non-integral, so the
-    strict inequality is a_p <= floor((n-k)(k-p)/k).  Counting is done by a
-    prefix-sum dynamic program over rows, which stays cheap for n in the
-    thousands; the binomial identity  fonarev_rank(k,n) * n = C(n,k)  serves
-    as an independent cross-check in the test suite.
+    The block is counted by weakly decreasing diagrams
+    (a_1 >= ... >= a_{k-1} >= 0) with a_p < (n-k)(k-p)/k.  For coprime k and
+    n the n blocks of the rectangular decomposition exhaust the C(n,k)
+    classes of Gr(k,n), so the count is C(n,k)/n.  The test suite checks it
+    against a direct enumeration of the diagrams and a row-by-row count.
     """
     if not (1 <= k < n):
         raise InvalidParams(f"need 1 <= k < n, got k={k}, n={n}")
     if gcd(k, n) != 1:
         raise InvalidParams(f"(k, n) must be coprime, got k={k}, n={n}")
-    if k == 1:
-        return 1
-    bounds = [((n - k) * (k - p)) // k for p in range(1, k)]
-    # ways[v] = number of valid suffixes whose current row equals v
-    ways = [1] * (bounds[-1] + 1)
-    for p in range(k - 3, -1, -1):
-        prefix = [0] * (bounds[p] + 1)
-        running = 0
-        for v in range(bounds[p] + 1):
-            if v < len(ways):
-                running += ways[v]
-            prefix[v] = running
-        ways = prefix
-    return sum(ways)
+    return comb(n, k) // n
 
 
 class Family(Value):

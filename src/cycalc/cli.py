@@ -111,8 +111,6 @@ def _resolve_base(args: argparse.Namespace) -> LefschetzBase:
 
 
 def _construction(args: argparse.Namespace) -> ConstructionKind:
-    if args.cover_degree != 2:
-        return ConstructionKind.cyclic_cover(args.cover_degree)
     try:
         return ConstructionKind.from_name(args.construction)
     except ValueError as exc:
@@ -166,12 +164,6 @@ def _add_base_args(parser: argparse.ArgumentParser) -> None:
         help="spherical construction",
     )
     parser.add_argument("--degree", type=int, required=True, help="construction degree d")
-    parser.add_argument(
-        "--cover-degree",
-        type=int,
-        default=2,
-        help="cyclic cover degree (only 2 is spherical)",
-    )
 
 
 def _add_bounds_args(parser: argparse.ArgumentParser) -> None:

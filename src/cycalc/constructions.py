@@ -19,7 +19,7 @@ and the Serre functor of X itself is the canonical twist followed by the
 shift by dim X.  For the root stack the relative canonical bundle carries the
 nontrivial character, so its Serre entry is chi L^(d-m) [dim X]; the
 character then cancels against the one in T, leaving serre_twist a pure
-shift.  Cyclic covers of degree greater than two are rejected outright: the
+shift.  Cyclic covers of degree greater than two have no kind here: the
 pushforward along such a cover is not spherical, so no table exists.
 """
 
@@ -31,7 +31,7 @@ from typing import Mapping
 
 from .autoeq import Generator, NormalForm
 from .catalog import LefschetzBase
-from .errors import DegreeOutOfRange, HypothesisViolation, UnsupportedCoverDegree
+from .errors import DegreeOutOfRange, HypothesisViolation
 from .value import Value
 
 
@@ -46,16 +46,6 @@ class ConstructionKind(enum.Enum):
             if kind.value == name:
                 return kind
         raise ValueError(f"unknown construction {name!r}; use divisor, cover or root")
-
-    @classmethod
-    def cyclic_cover(cls, degree: int) -> "ConstructionKind":
-        """Only degree-2 covers admit a spherical pushforward."""
-        if degree == 2:
-            return cls.DOUBLE_COVER
-        raise UnsupportedCoverDegree(
-            f"cyclic covers of degree {degree} are not supported: the pushforward "
-            "is not a spherical functor"
-        )
 
 
 ALL_KINDS: tuple[ConstructionKind, ...] = (

@@ -276,12 +276,12 @@ def iter_sweep_bases(bounds: SweepBounds) -> Iterator[LefschetzBase]:
 def _window(bounds: SweepBounds) -> Iterator[tuple[LefschetzBase, ConstructionKind, int]]:
     """Every (base, kind, d) triple of the window, in output order.
 
-    That order is (base id, parameters, kind in ``ALL_KINDS`` order, d).  The
-    bases are collected first, so a window over :data:`MAX_WINDOW_CASES` is
-    refused before any case is analysed.
+    That order is (base id, parameters, kind in ``ALL_KINDS`` order, d).  A
+    first walk over the bases counts the cases and keeps no base, so a window
+    over :data:`MAX_WINDOW_CASES` is refused before any case is analysed and
+    without holding the bases it counted; an admitted window is walked again.
     """
     kinds = [kind for kind in ALL_KINDS if kind in bounds.kinds]
-    bases = []
     cases = 0
     for base in iter_sweep_bases(bounds):
         cases += base.length_m * len(kinds)
@@ -290,8 +290,7 @@ def _window(bounds: SweepBounds) -> Iterator[tuple[LefschetzBase, ConstructionKi
                 f"the window holds more than {MAX_WINDOW_CASES:,} cases; refused "
                 f"(narrow it with --max-n, --max-s, --max-weight-sum, --kinds or --families)"
             )
-        bases.append(base)
-    for base in bases:
+    for base in iter_sweep_bases(bounds):
         for kind in kinds:
             for d in range(1, base.length_m + 1):
                 yield base, kind, d

@@ -27,11 +27,6 @@ class HypothesisViolation(CycalcError):
     decomposition is not stable under the order-2 character)."""
 
 
-class UnsupportedCoverDegree(CycalcError):
-    """Cyclic covers of degree > 2 are rejected: the pushforward along such a
-    cover is not a spherical functor, so the machinery does not apply."""
-
-
 class UnresolvedGenerator(CycalcError):
     """A word contains a symbolic generator with no substitution entry."""
 

@@ -17,8 +17,9 @@ section.  Hodge numbers are constant in smooth families, so the Fermat
 member's numbers are reported for the whole family; smoothness of the chosen
 member itself is assumed, never checked.
 
-Double covers of P^n branched in degree 2d are handled as degree-2d
-hypersurfaces in P(1, ..., 1, d).
+Every supported case is realised as one such hypersurface: a double cover
+of P^n branched in degree 2d is the degree-2d hypersurface in
+P(1, ..., 1, d), and a hyperplane of P^n is the linear space P^(n-1).
 
 Hochschild homology of the derived category is read off the diamond,
 
@@ -36,7 +37,7 @@ from __future__ import annotations
 from itertools import accumulate, chain, combinations, repeat
 from math import gcd
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .catalog import LefschetzBase
 from .constructions import ConstructionKind
@@ -149,85 +150,75 @@ class HodgeDiamond(Value):
         return tuple(self.hodge[self.dim_x - q][q] for q in range(self.dim_x + 1))
 
 
-def _diamond_from_middle(dim_x: int, primitive: Sequence[int]) -> HodgeDiamond:
-    """Assemble a hypersurface-type diamond from its primitive middle row."""
-    n = dim_x
-    table = [[0] * (n + 1) for _ in range(n + 1)]
-    for p in range(n + 1):
-        if 2 * p != n:
-            table[p][p] = 1
-    for q in range(n + 1):
-        table[n - q][q] += primitive[q]
-    if n % 2 == 0:
-        table[n // 2][n // 2] += 1
-    return HodgeDiamond(dim_x=n, hodge=tuple(tuple(row) for row in table))
+class _Hypersurface(NamedTuple):
+    """A degree-``degree`` hypersurface of dimension ``dim_x`` in P(1^ones, weights).
+
+    The ``ones`` unit weights are counted, never listed, so a request with
+    n = 10**12 is sized before anything of that size exists.  With no
+    weights at all X is a linear space P^dim_x: there is no equation, and the
+    primitive middle row is zero.
+    """
+
+    dim_x: int
+    ones: int
+    weights: tuple[int, ...]
+    degree: int
 
 
-def _check_size(dim_x: int, weights: Iterable[int], degree: int) -> None:
+def _check_size(x: _Hypersurface) -> None:
     """Refuse a diamond whose work would exceed :data:`MAX_HODGE_WORK`.
 
     The work is the table's (dim_x + 1)^2 cells plus the kernel's coefficient
-    updates, i.e. the series length after each factor, summed.  It is counted
-    in O(#weights) steps without allocating anything, and counting stops as
-    soon as the ceiling is passed.
+    updates, i.e. the series length after each factor, summed.  The unit
+    factors come first and the i-th of them leaves a series of length
+    1 + i (D - 2), so they are summed in closed form; the other weights are
+    counted one by one until the ceiling is passed.  Nothing is allocated.
     """
-    work = (dim_x + 1) ** 2
-    length = 1
-    for w in weights:
+    work = (x.dim_x + 1) ** 2 + x.ones + (x.degree - 2) * x.ones * (x.ones + 1) // 2
+    length = 1 + (x.degree - 2) * x.ones
+    for w in x.weights:
         if work > MAX_HODGE_WORK:
             break
-        length += (degree // w - 2) * w
+        length += (x.degree // w - 2) * w
         work += length
     if work > MAX_HODGE_WORK:
         raise SizeLimitExceeded(
-            f"a dimension-{dim_x} diamond of degree {degree} needs more than "
+            f"a dimension-{x.dim_x} diamond of degree {x.degree} needs more than "
             f"{MAX_HODGE_WORK:,} coefficient updates and table cells; refused"
         )
 
 
-def _weighted_diamond(weights: Sequence[int], degree: int) -> HodgeDiamond:
-    dim_x = len(weights) - 2
-    series = jacobian_poincare(weights, degree)
-    shift = sum(weights)
-    primitive = [series.coefficient((q + 1) * degree - shift) for q in range(dim_x + 1)]
-    return _diamond_from_middle(dim_x, primitive)
+def _diamond(x: _Hypersurface) -> HodgeDiamond:
+    """The one path to a diamond: validate, size, run the kernel, assemble.
+
+    The diamond is the ambient space's (h^{p,p} = 1) plus the primitive part
+    on the middle row; in even dimension the middle (p, p) class is that of
+    the hyperplane section.
+    """
+    # the unit weights pass or fail together, so one of them stands for all
+    checked = (1,) * min(x.ones, 1) + x.weights
+    if checked:
+        _validate_weights(checked, x.degree)  # the size count assumes valid weights
+    _check_size(x)
+    n = x.dim_x
+    table = [[int(p == q) for q in range(n + 1)] for p in range(n + 1)]
+    if checked:
+        series = jacobian_poincare((1,) * x.ones + x.weights, x.degree)
+        shift = x.ones + sum(x.weights)
+        for q in range(n + 1):
+            table[n - q][q] += series.coefficient((q + 1) * x.degree - shift)
+    return HodgeDiamond(dim_x=n, hodge=tuple(map(tuple, table)))
+
+
+def _weighted(weights: Sequence[int], degree: int) -> _Hypersurface:
+    if len(weights) < 3:
+        raise InvalidParams("need an ambient space of dimension at least 2")
+    return _Hypersurface(len(weights) - 2, 0, tuple(weights), degree)
 
 
 def weighted_hypersurface_diamond(weights: Sequence[int], degree: int) -> HodgeDiamond:
     """Diamond of a quasi-smooth degree-D hypersurface in P(weights)."""
-    if len(weights) < 3:
-        raise InvalidParams("need an ambient space of dimension at least 2")
-    _validate_weights(weights, degree)  # the size count assumes valid weights
-    _check_size(len(weights) - 2, weights, degree)
-    return _weighted_diamond(weights, degree)
-
-
-def hodge_hypersurface(n: int, d: int) -> HodgeDiamond:
-    """Diamond of a smooth degree-d hypersurface in P^n (dimension n-1)."""
-    if n < 2:
-        raise InvalidParams(f"ambient projective space must have n >= 2, got {n}")
-    if d < 1:
-        raise InvalidParams(f"degree must be positive, got {d}")
-    if d == 1:
-        # a hyperplane is P^(n-1); the derivative quotient ring vanishes
-        _check_size(n - 1, (), d)
-        return _diamond_from_middle(n - 1, [0] * n)
-    _check_size(n - 1, repeat(1, n + 1), d)
-    return _weighted_diamond((1,) * (n + 1), d)
-
-
-def hodge_double_cover(n: int, d: int) -> HodgeDiamond:
-    """Diamond of a double cover of P^n branched in degree 2d (dimension n).
-
-    Realized as the degree-2d hypersurface in P(1, ..., 1, d) with n+1 unit
-    weights.
-    """
-    if n < 2:
-        raise InvalidParams(f"base projective space must have n >= 2, got {n}")
-    if d < 1:
-        raise InvalidParams(f"degree must be positive, got {d}")
-    _check_size(n, chain(repeat(1, n + 1), (d,)), 2 * d)
-    return _weighted_diamond((1,) * (n + 1) + (d,), 2 * d)
+    return _diamond(_weighted(weights, degree))
 
 
 class HHProfile(Value):
@@ -336,26 +327,53 @@ def cy_hh_check(case: CaseResult, hh_a: HHProfile) -> HHCheckReport:
     )
 
 
-def diamond_for_case(case: CaseResult) -> HodgeDiamond:
-    """Diamond of the total space X for a supported case.
-
-    Supported: divisors and double covers over ``pn``, and divisors over
-    ``wpn`` whose degree is divisible by every weight.  Root-stack cases are
-    rejected: the stack's homology includes twisted sectors that this module
-    does not model.
-    """
-    base = case.base
-    if case.kind is ConstructionKind.ROOT_STACK:
-        raise HodgeUnsupported("root-stack cases carry twisted sectors; not computed")
+def _ambient(base: LefschetzBase) -> tuple[int, tuple[int, ...]] | None:
+    """The space P(1^ones, weights) that ``base`` is, as (ones, weights), if any."""
     if base.id == "pn":
-        if case.kind is ConstructionKind.DIVISOR:
-            return hodge_hypersurface(base.dim_m, case.d)
-        return hodge_double_cover(base.dim_m, case.d)
-    if base.id == "wpn" and case.kind is ConstructionKind.DIVISOR:
-        return weighted_hypersurface_diamond(base.param_key(), case.d)
-    raise HodgeUnsupported(
-        f"no Hodge machinery for base {base.id!r} with construction {case.kind.value!r}"
-    )
+        return base.dim_m + 1, ()
+    if base.id == "wpn":
+        return 0, base.param_key()
+    return None
+
+
+def _realisation(case: CaseResult) -> _Hypersurface:
+    """The total space X of a supported case, as one hypersurface.
+
+    This is the one place that decides which weights and degree a case
+    stands for.  X lies in the base's own space (:func:`_ambient`):
+
+    * pn divisor: degree d in P(1^(n+1)); for d = 1 the linear space P^(n-1)
+    * pn cover: y^2 = f(x), of degree 2d in P(1^(n+1), d)
+    * wpn divisor: degree d in P(w_0, ..., w_n), each w_i dividing d
+
+    Root-stack cases are rejected: the stack's homology includes twisted
+    sectors that this module does not model.
+    """
+    base, kind, d = case.base, case.kind, case.d
+    if kind is ConstructionKind.ROOT_STACK:
+        raise HodgeUnsupported("root-stack cases carry twisted sectors; not computed")
+    ambient = _ambient(base)
+    if ambient is None or (base.id, kind) == ("wpn", ConstructionKind.DOUBLE_COVER):
+        raise HodgeUnsupported(
+            f"no Hodge machinery for base {base.id!r} with construction {kind.value!r}"
+        )
+    ones, weights = ambient
+    if base.id == "wpn":
+        return _weighted(weights, d)
+    n = ones - 1
+    if n < 2:
+        where = "ambient" if kind is ConstructionKind.DIVISOR else "base"
+        raise InvalidParams(f"{where} projective space must have n >= 2, got {n}")
+    if kind is ConstructionKind.DOUBLE_COVER:
+        return _Hypersurface(n, ones, (d,), 2 * d)
+    if d == 1:
+        return _Hypersurface(n - 1, 0, (), 1)
+    return _Hypersurface(n - 1, ones, (), d)
+
+
+def diamond_for_case(case: CaseResult) -> HodgeDiamond:
+    """Diamond of the total space X of a supported case (see :func:`_realisation`)."""
+    return _diamond(_realisation(case))
 
 
 class HHPipelineResult(Value):
@@ -371,17 +389,19 @@ class HHPipelineResult(Value):
 def hh_pipeline(case: CaseResult) -> HHPipelineResult:
     """Diamond -> HH(D(X)) -> HH(component) -> nonvanishing check.
 
-    Weighted bases whose weights are not pairwise coprime are refused: the
-    Fermat member then meets a stacky stratum, and the twisted sectors it
-    adds to HH_0 are not modelled, so the block subtraction would be wrong.
+    A base whose space has weights that are not pairwise coprime is refused
+    first, whatever the construction: the Fermat member then meets a stacky
+    stratum, and the twisted sectors it adds to HH_0 are not modelled, so the
+    block subtraction would be wrong.  The unit weights, and the weight d that
+    a cover of P^n adds, are coprime to every other weight.
     """
-    if case.base.id == "wpn":
-        weights = case.base.param_key()
-        if any(gcd(a, b) > 1 for a, b in combinations(weights, 2)):
-            raise HodgeUnsupported(
-                f"weights {','.join(map(str, weights))} are not pairwise coprime; "
-                "the twisted sectors of the stacky locus are not modelled"
-            )
+    ambient = _ambient(case.base)
+    weights = ambient[1] if ambient else ()
+    if any(gcd(a, b) > 1 for a, b in combinations(weights, 2)):
+        raise HodgeUnsupported(
+            f"weights {','.join(map(str, weights))} are not pairwise coprime; "
+            "the twisted sectors of the stacky locus are not modelled"
+        )
     diamond = diamond_for_case(case)
     hh_x = hkr(diamond)
     hh_a = hh_component(hh_x, case.base, case.d)

@@ -44,6 +44,42 @@ def brute_force_jacobian_dim(weights, degree, target):
     return count(0, target)
 
 
+def fonarev_rank_by_rows(k, n):
+    """The diagram count of :func:`cycalc.catalog.fonarev_rank`, row by row.
+
+    Counts weakly decreasing diagrams (a_1 >= ... >= a_{k-1} >= 0) with
+    a_p <= floor((n-k)(k-p)/k) by a prefix-sum dynamic program over the rows,
+    in O(k n) steps; it reaches pairs far too large to enumerate.
+    """
+    if k == 1:
+        return 1
+    bounds = [((n - k) * (k - p)) // k for p in range(1, k)]
+    # ways[v] = number of valid suffixes whose current row equals v
+    ways = [1] * (bounds[-1] + 1)
+    for p in range(k - 3, -1, -1):
+        prefix = [0] * (bounds[p] + 1)
+        running = 0
+        for v in range(bounds[p] + 1):
+            if v < len(ways):
+                running += ways[v]
+            prefix[v] = running
+        ways = prefix
+    return sum(ways)
+
+
+def hodge_work(dim_x, weights, degree):
+    """The work that ``cycalc.hodge.MAX_HODGE_WORK`` bounds, factor by factor.
+
+    The (dim_x + 1)^2 cells of the diamond plus, for each weight in turn, the
+    length of the Poincare series after multiplying by that weight's factor.
+    """
+    work, length = (dim_x + 1) ** 2, 1
+    for w in weights:
+        length += (degree // w - 2) * w
+        work += length
+    return work
+
+
 def negative_dimension_cases(cases):
     """Proper integer Calabi-Yau components whose dimension is negative.
 

@@ -15,14 +15,7 @@ from math import gcd
 from cycalc.catalog import builtin
 from cycalc.constructions import ConstructionKind
 from cycalc.engine import SweepBounds, analyze, iter_cases, sweep, verify_cross_check
-from cycalc.hodge import (
-    hh_component,
-    hh_pipeline,
-    hkr,
-    hodge_double_cover,
-    hodge_hypersurface,
-    jacobian_poincare,
-)
+from cycalc.hodge import diamond_for_case, hh_component, hh_pipeline, hkr, jacobian_poincare
 from reference import brute_force_jacobian_dim
 
 DIV = ConstructionKind.DIVISOR
@@ -163,8 +156,8 @@ def test_criterion_6_series_oracle():
 
 
 def test_criterion_7_cubic_fourfold_pipeline():
-    diamond = hodge_hypersurface(5, 3)
     case = analyze(builtin("pn", {"n": 5}), DIV, 3)
+    diamond = diamond_for_case(case)
     profile = hh_component(hkr(diamond), case.base, 3)
     pipeline = hh_pipeline(case)
     ok = (
@@ -178,7 +171,7 @@ def test_criterion_7_cubic_fourfold_pipeline():
 
 
 def test_criterion_8_double_sextic():
-    diamond = hodge_double_cover(2, 3)
+    diamond = diamond_for_case(analyze(builtin("pn", {"n": 2}), COVER, 3))
     verdict(8, "double sextic K3 diamond", diamond.h(1, 1) == 20 and diamond.h(2, 0) == 1)
 
 

@@ -15,7 +15,7 @@ from cycalc.catalog import (
     merge_user_catalog,
 )
 from cycalc.errors import InvalidParams, ParseError, UnknownBase, ValidationError
-from reference import catalog_record, catalog_text, replace
+from reference import catalog_record, catalog_text, fonarev_rank_by_rows, replace
 
 
 def enumerate_diagrams(k, n):
@@ -160,6 +160,13 @@ def test_fonarev_rank_binomial_identity_up_to_20():
             assert rank * n == comb(n, k), (k, n)
             if comb(n, k) <= 20000:
                 assert rank == enumerate_diagrams(k, n), (k, n)
+
+
+def test_fonarev_rank_matches_the_row_by_row_count():
+    pairs = [(k, n) for n in range(2, 61) for k in range(1, n) if gcd(k, n) == 1]
+    pairs += [(7, 200), (30, 127), (64, 129), (99, 250)]
+    for k, n in pairs:
+        assert fonarev_rank(k, n) == fonarev_rank_by_rows(k, n), (k, n)
 
 
 def test_rank_times_length_matches_known_k_theory():

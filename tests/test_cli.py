@@ -111,13 +111,13 @@ def test_case_invalid_params_exit_2(capsys):
     assert "coprime" in err
 
 
-def test_case_cubic_cover_rejected_exit_2(capsys):
-    code, _, err = run(
+def test_cover_degree_is_not_an_option_exit_1(capsys):
+    code, out, err = run(
         capsys, "case", "--base", "pn", "--n", "5",
-        "--construction", "cover", "--degree", "1", "--cover-degree", "3",
+        "--construction", "divisor", "--degree", "3", "--cover-degree", "2",
     )
-    assert code == 2
-    assert "not a spherical functor" in err
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments: --cover-degree 2" in err
 
 
 def test_usage_error_exit_1(capsys):
@@ -389,6 +389,119 @@ def test_stdout_is_byte_identical_to_recorded_digests(capsys, monkeypatch):
 # ---------------------------------------------------------------------------
 # hodge / hh
 # ---------------------------------------------------------------------------
+
+
+# Hodge and homology commands over every realisation row and every refusal:
+# command line, exit code, sha256 of stdout and stderr, recorded when each
+# row still had its own code path.
+HODGE_MATRIX = [
+    ("hodge --base pn --n 5 --construction divisor --degree 1", 0,
+     "233d6a8139f30ab4a57c0a704460162d8e8a44a841f8d0a3e817bea9bac1dec8", ""),
+    ("hh --base pn --n 5 --construction divisor --degree 1", 0,
+     "707ed126978d49fb82893b73c70f62b21d45360b3f7fda297692936c1bf8e129", ""),
+    ("hodge --base pn --n 5 --construction divisor --degree 3", 0,
+     "0466ae00d7d06bbef9a6f4fe0d04bb076ec52b69e157d91cf6e7cc6f290ef890", ""),
+    ("hh --base pn --n 5 --construction divisor --degree 3 --format json", 0,
+     "1c08df649f986c47bfe3e505836e9e90dd40e394c205a6fb39066dfa4f6a6782", ""),
+    ("hodge --base pn --n 4 --construction cover --degree 1", 0,
+     "e61c9903629f7c49404834970f7b4481a9da5acd6e1118ec7f1d9b1b8d757bb5", ""),
+    ("hh --base pn --n 4 --construction cover --degree 1 --format csv", 0,
+     "0ce39590a2783a76a64e0ba92f878a085fc5e930e45fbc4d83904aa8f920cbd5", ""),
+    ("hodge --base pn --n 1 --construction divisor --degree 1", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: ambient projective space must have n >= 2, got 1\n"),
+    ("hh --base pn --n 1 --construction divisor --degree 2", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: ambient projective space must have n >= 2, got 1\n"),
+    ("hodge --base pn --n 1 --construction cover --degree 1", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: base projective space must have n >= 2, got 1\n"),
+    ("hh --base pn --n 1 --construction cover --degree 2", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: base projective space must have n >= 2, got 1\n"),
+    ("hodge --base wpn --weights 1,1,1,3 --construction divisor --degree 6", 0,
+     "702001ff177d9340d7448928cf576f337e342e3d6961a3b7c71c764ef72cd9be", ""),
+    ("hh --base wpn --weights 1,1,1,3 --construction divisor --degree 6 --format json", 0,
+     "b57f44fd12a82b9ffe3aa59128dd3024d3c8e59c259631137a6811cca599c07a", ""),
+    ("hodge --base wpn --weights 1,2 --construction divisor --degree 2", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: need an ambient space of dimension at least 2\n"),
+    ("hh --base wpn --weights 1,2 --construction divisor --degree 2", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: need an ambient space of dimension at least 2\n"),
+    ("hodge --base wpn --weights 2,2 --construction divisor --degree 4", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: need an ambient space of dimension at least 2\n"),
+    ("hh --base wpn --weights 2,2 --construction divisor --degree 4", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: weights 2,2 are not pairwise coprime; the twisted sectors of the "
+     "stacky locus are not modelled\n"),
+    ("hodge --base wpn --weights 1,1,3 --construction divisor --degree 3", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: degree 3 must exceed every weight, got weight 3\n"),
+    ("hh --base wpn --weights 1,1,3 --construction divisor --degree 3", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: degree 3 must exceed every weight, got weight 3\n"),
+    ("hodge --base wpn --weights 1,1,1 --construction divisor --degree 1", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: degree 1 must exceed every weight, got weight 1\n"),
+    ("hodge --base wpn --weights 1,2,2,3 --construction divisor --degree 6", 0,
+     "9402ec4145324778adffc0cd5cedcb2f7bd7131ebc3dd292d1b7c77392af778a", ""),
+    ("hh --base wpn --weights 1,2,2,3 --construction divisor --degree 6", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: weights 1,2,2,3 are not pairwise coprime; the twisted sectors of "
+     "the stacky locus are not modelled\n"),
+    ("hh --base wpn --weights 1,2,2,3 --construction root --degree 3", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: weights 1,2,2,3 are not pairwise coprime; the twisted sectors of "
+     "the stacky locus are not modelled\n"),
+    ("hh --base wpn --weights 1,2,2,3 --construction cover --degree 2", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: weights 1,2,2,3 are not pairwise coprime; the twisted sectors of "
+     "the stacky locus are not modelled\n"),
+    ("hodge --base wpn --weights 1,2,3 --construction cover --degree 2", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: no Hodge machinery for base 'wpn' with construction 'cover'\n"),
+    ("hodge --base pn --n 5 --construction root --degree 2", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: root-stack cases carry twisted sectors; not computed\n"),
+    ("hh --base pn --n 5 --construction root --degree 2", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: root-stack cases carry twisted sectors; not computed\n"),
+    ("hodge --base gr --k 2 --n 5 --construction divisor --degree 1", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: no Hodge machinery for base 'gr' with construction 'divisor'\n"),
+    ("hh --base gr --k 2 --n 5 --construction cover --degree 1", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: no Hodge machinery for base 'gr' with construction 'cover'\n"),
+    ("hodge --base pn --n 10000 --construction divisor --degree 1", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: a dimension-9999 diamond of degree 1 needs more than 2,000,000 "
+     "coefficient updates and table cells; refused\n"),
+    ("hh --base pn --n 10000 --construction divisor --degree 5000", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: a dimension-9999 diamond of degree 5000 needs more than 2,000,000 "
+     "coefficient updates and table cells; refused\n"),
+    ("hodge --base pn --n 2000 --construction cover --degree 3 --format json", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: a dimension-2000 diamond of degree 6 needs more than 2,000,000 "
+     "coefficient updates and table cells; refused\n"),
+    ("hodge --base wpn --weights 1,1,200000,200000 --construction divisor --degree 400000", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: a dimension-2 diamond of degree 400000 needs more than 2,000,000 "
+     "coefficient updates and table cells; refused\n"),
+    ("hodge --base pn --n 45 --construction cover --degree 46 --format csv", 0,
+     "63602b017a2e04a59fd451cdbceef0c5671d7e5e667da5c523028ceae3d91c50", ""),
+    ("hh --base pn --n 8 --construction divisor --degree 3", 0,
+     "ab85b3ef5c2a29d0ad6527b74011ead2babab6d6837a8dced4e15e017f64ddc5", ""),
+]
+
+
+@pytest.mark.parametrize("command, code, digest, err", HODGE_MATRIX)
+def test_hodge_matrix_prints_the_recorded_bytes(capsys, command, code, digest, err):
+    got_code, out, got_err = run(capsys, *command.split())
+    assert (got_code, got_err) == (code, err)
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_hodge_prints_diamond(capsys):

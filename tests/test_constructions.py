@@ -14,7 +14,6 @@ from cycalc.engine import SweepBounds, closed_form, iter_sweep_bases
 from cycalc.errors import (
     DegreeOutOfRange,
     HypothesisViolation,
-    UnsupportedCoverDegree,
 )
 from reference import replace
 
@@ -159,13 +158,6 @@ def test_tables_are_immutable_and_hashable():
     assert twin == table and hash(twin) == hash(table)
     other = substitution_table(ConstructionKind.DOUBLE_COVER, 3, base)
     assert len({table, twin, other}) == 2
-
-
-def test_cyclic_cover_degree_guard():
-    assert ConstructionKind.cyclic_cover(2) is ConstructionKind.DOUBLE_COVER
-    for degree in (3, 4, 7):
-        with pytest.raises(UnsupportedCoverDegree):
-            ConstructionKind.cyclic_cover(degree)
 
 
 def test_kind_names_round_trip():

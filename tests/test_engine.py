@@ -1,11 +1,13 @@
 """Serre-power evaluation, witnesses, and the closed-form cross-check."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
+from cycalc import engine
 from cycalc.autoeq import Generator, NormalForm
 from cycalc.catalog import _weight_multisets, builtin
 from cycalc.constructions import ALL_KINDS, ConstructionKind, substitution_table
@@ -20,7 +22,7 @@ from cycalc.engine import (
     serre_power,
     verify_cross_check,
 )
-from cycalc.errors import NotPureShiftable
+from cycalc.errors import NotPureShiftable, SizeLimitExceeded
 from reference import negative_dimension_cases
 
 DIV = ConstructionKind.DIVISOR
@@ -346,3 +348,24 @@ def test_verify_counts_a_failing_word_path_as_a_mismatch(monkeypatch):
     assert not report.ok
     assert len(report.mismatches) == report.cases == 42
     assert report.negatives == ()
+
+
+def _refusal_peak(max_s):
+    """tracemalloc peak, in bytes, of refusing a quadric window of max_s bases."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimitExceeded):
+            next(iter_cases(SweepBounds(max_s=max_s, families=("quadric4s2",))))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_refused_window_holds_no_base(monkeypatch):
+    # each quadric base holds 2 kinds x m = 2 cases, so the ceiling trips
+    # halfway through the window, after max_s / 2 bases
+    peaks = {}
+    for max_s in (2_000, 20_000):
+        monkeypatch.setattr(engine, "MAX_WINDOW_CASES", 2 * max_s)
+        peaks[max_s] = _refusal_peak(max_s)
+    assert peaks[20_000] < peaks[2_000] + 100_000, peaks

@@ -12,6 +12,7 @@ from cycalc.catalog import builtin
 from cycalc.constructions import ConstructionKind
 from cycalc.engine import SweepBounds, analyze, iter_cases
 from cycalc.errors import (
+    DegreeOutOfRange,
     HodgeUnsupported,
     InvalidParams,
     InvalidWeights,
@@ -27,15 +28,24 @@ from cycalc.hodge import (
     hh_component,
     hh_pipeline,
     hkr,
-    hodge_double_cover,
-    hodge_hypersurface,
     jacobian_poincare,
     weighted_hypersurface_diamond,
 )
-from reference import brute_force_jacobian_dim, diamond_total, profile_total, series_degree
+from reference import (
+    brute_force_jacobian_dim,
+    diamond_total,
+    hodge_work,
+    profile_total,
+    series_degree,
+)
 
 DIV = ConstructionKind.DIVISOR
 COVER = ConstructionKind.DOUBLE_COVER
+
+
+def pn_diamond(n, d, kind=DIV):
+    """The diamond of a divisor or double cover of degree d over P^n."""
+    return diamond_for_case(analyze(builtin("pn", {"n": n}), kind, d))
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +202,7 @@ def test_series_is_palindromic():
 
 
 def test_cubic_fourfold_diamond():
-    diamond = hodge_hypersurface(5, 3)
+    diamond = pn_diamond(5, 3)
     assert diamond.dim_x == 4
     assert diamond.h(3, 1) == diamond.h(1, 3) == 1
     assert diamond.h(2, 2) == 21
@@ -203,26 +213,26 @@ def test_cubic_fourfold_diamond():
 
 def test_degree_one_hypersurface_is_projective_space():
     for n in (2, 3, 5, 8):
-        diamond = hodge_hypersurface(n, 1)
+        diamond = pn_diamond(n, 1)
         assert diamond_total(diamond) == n  # h^{p,p} = 1 for p = 0..n-1
         for p in range(n):
             assert diamond.h(p, p) == 1
 
 
 def test_quadric_threefold_diamond():
-    diamond = hodge_hypersurface(4, 2)
+    diamond = pn_diamond(4, 2)
     assert diamond.middle_row() == (0, 0, 0, 0)
     assert all(diamond.h(p, p) == 1 for p in range(4))
 
 
 def test_even_quadric_gets_extra_middle_class():
-    diamond = hodge_double_cover(4, 1)  # double cover of P^4 in a quadric = Q^4
+    diamond = pn_diamond(4, 1, COVER)  # double cover of P^4 in a quadric = Q^4
     assert diamond.h(2, 2) == 2
     assert diamond_total(diamond) == 6
 
 
 def test_double_sextic_is_k3():
-    diamond = hodge_double_cover(2, 3)
+    diamond = pn_diamond(2, 3, COVER)
     assert diamond.dim_x == 2
     assert diamond.h(2, 0) == diamond.h(0, 2) == 1
     assert diamond.h(1, 1) == 20
@@ -230,31 +240,43 @@ def test_double_sextic_is_k3():
 
 
 def test_quartic_double_p5_middle():
-    diamond = hodge_double_cover(5, 2)
+    diamond = pn_diamond(5, 2, COVER)
     assert diamond.h(4, 1) == 1
 
 
 def test_plane_curves_have_classical_genus():
-    for d, genus in ((1, 0), (2, 0), (3, 1), (4, 3), (5, 6)):
-        diamond = hodge_hypersurface(2, d)
+    assert pn_diamond(2, 1).h(1, 0) == 0  # a line
+    # degrees 4 and 5 exceed m = 3, so P^2 has no such case; the curves are
+    # taken as weighted hypersurfaces
+    for d, genus in ((2, 0), (3, 1), (4, 3), (5, 6)):
+        diamond = weighted_hypersurface_diamond((1, 1, 1), d)
         assert diamond.h(1, 0) == genus
 
 
 def test_invalid_parameters():
-    with pytest.raises(InvalidParams):
-        hodge_hypersurface(1, 3)
-    with pytest.raises(InvalidParams):
-        hodge_hypersurface(4, 0)
-    with pytest.raises(InvalidParams):
-        hodge_double_cover(1, 2)
-    with pytest.raises(InvalidParams):
+    with pytest.raises(InvalidParams, match="ambient projective space must have n >= 2"):
+        pn_diamond(1, 2)
+    with pytest.raises(DegreeOutOfRange):  # a degree below 1 never reaches the Hodge layer
+        analyze(builtin("pn", {"n": 4}), DIV, 0)
+    with pytest.raises(InvalidParams, match="base projective space must have n >= 2"):
+        pn_diamond(1, 2, COVER)
+    with pytest.raises(InvalidParams, match="need an ambient space of dimension at least 2"):
         weighted_hypersurface_diamond((1, 1), 2)
+
+
+def test_every_pn_case_is_its_weighted_hypersurface():
+    for n in range(2, 9):
+        for d in range(2, n + 2):
+            assert pn_diamond(n, d) == weighted_hypersurface_diamond((1,) * (n + 1), d)
+        for d in range(1, n + 2):
+            cover = weighted_hypersurface_diamond((1,) * (n + 1) + (d,), 2 * d)
+            assert pn_diamond(n, d, COVER) == cover
 
 
 def test_diamond_symmetries_hold_for_a_sweep():
     for n in range(2, 8):
         for d in range(1, n + 2):
-            diamond = hodge_hypersurface(n, d)
+            diamond = pn_diamond(n, d)
             dim = diamond.dim_x
             for p in range(dim + 1):
                 for q in range(dim + 1):
@@ -267,19 +289,45 @@ def test_size_ceiling_counts_table_cells_and_series_updates(monkeypatch):
     # of lengths 2, 3, ..., 7
     work = 25 + sum(range(2, 8))
     monkeypatch.setattr(hodge, "MAX_HODGE_WORK", work)
-    assert hodge_hypersurface(5, 3).h(2, 2) == 21
+    assert pn_diamond(5, 3).h(2, 2) == 21
     monkeypatch.setattr(hodge, "MAX_HODGE_WORK", work - 1)
     with pytest.raises(SizeLimitExceeded):
-        hodge_hypersurface(5, 3)
+        pn_diamond(5, 3)
+
+
+def test_size_ceiling_refuses_exactly_above_the_work_of_each_factor(monkeypatch):
+    # the unit factors are summed in closed form; hodge_work adds them one by one
+    cases = [
+        (pn_diamond, (n, d, kind), hodge_work(*realised))
+        for n in range(2, 10)
+        for d in range(1, n + 2)
+        for kind, realised in (
+            (DIV, (n - 1, (1,) * (n + 1), d) if d > 1 else (n - 1, (), 1)),
+            (COVER, (n, (1,) * (n + 1) + (d,), 2 * d)),
+        )
+    ] + [
+        (
+            weighted_hypersurface_diamond, (weights, degree),
+            hodge_work(len(weights) - 2, weights, degree),
+        )
+        for weights, degree in FERMAT_DIVISORS
+        if len(weights) >= 3
+    ]
+    for diamond, args, work in cases:
+        monkeypatch.setattr(hodge, "MAX_HODGE_WORK", work)
+        diamond(*args)
+        monkeypatch.setattr(hodge, "MAX_HODGE_WORK", work - 1)
+        with pytest.raises(SizeLimitExceeded):
+            diamond(*args)
 
 
 def test_size_ceiling_refuses_huge_requests_before_allocating():
     with pytest.raises(SizeLimitExceeded):
-        hodge_hypersurface(10_000, 5_000)
+        pn_diamond(10_000, 5_000)
     with pytest.raises(SizeLimitExceeded):
-        hodge_hypersurface(10_000, 1)
+        pn_diamond(10_000, 1)
     with pytest.raises(SizeLimitExceeded):
-        hodge_double_cover(10**12, 3)  # unit weights are never materialized
+        pn_diamond(10**12, 3, COVER)  # unit weights are never materialized
     with pytest.raises(SizeLimitExceeded):
         weighted_hypersurface_diamond((1, 1, 200_000, 200_000), 400_000)
 
@@ -287,8 +335,8 @@ def test_size_ceiling_refuses_huge_requests_before_allocating():
 def test_size_ceiling_admits_the_projective_range_in_use():
     for n in (44, 45):
         for d in (n, n + 1):
-            hodge_hypersurface(n, d)
-            hodge_double_cover(n, d)
+            pn_diamond(n, d)
+            pn_diamond(n, d, COVER)
     weighted_hypersurface_diamond((1, 1, 1, 3), 12)
 
 
@@ -303,49 +351,49 @@ def test_size_ceiling_leaves_weight_errors_to_validation():
 
 
 def test_hkr_cubic_fourfold():
-    profile = hkr(hodge_hypersurface(5, 3))
+    profile = hkr(pn_diamond(5, 3))
     assert profile.dims == {-2: 1, 0: 25, 2: 1}
 
 
 def test_hkr_projective_space():
-    profile = hkr(hodge_hypersurface(5, 1))  # P^4
+    profile = hkr(pn_diamond(5, 1))  # P^4
     assert profile.dims == {0: 5}
 
 
 def test_hkr_k3():
-    profile = hkr(hodge_double_cover(2, 3))
+    profile = hkr(pn_diamond(2, 3, COVER))
     assert profile.dims == {-2: 1, 0: 22, 2: 1}
 
 
 def test_hkr_preserves_total_dimension():
     for n, d in ((3, 2), (4, 3), (5, 3), (6, 2), (5, 4)):
-        diamond = hodge_hypersurface(n, d)
+        diamond = pn_diamond(n, d)
         assert profile_total(hkr(diamond)) == diamond_total(diamond)
 
 
 def test_hkr_support_bounded_by_dimension():
     for n, d in ((4, 4), (5, 5), (6, 3)):
-        diamond = hodge_hypersurface(n, d)
+        diamond = pn_diamond(n, d)
         assert all(abs(k) <= diamond.dim_x for k in hkr(diamond).dims)
 
 
 def test_component_subtraction_cubic_fourfold():
     base = builtin("pn", {"n": 5})
-    hh_x = hkr(hodge_hypersurface(5, 3))
+    hh_x = hkr(pn_diamond(5, 3))
     hh_a = hh_component(hh_x, base, 3)
     assert hh_a.dims == {-2: 1, 0: 22, 2: 1}
 
 
 def test_component_subtraction_cover():
     base = builtin("pn", {"n": 5})
-    hh_x = hkr(hodge_double_cover(5, 2))
+    hh_x = hkr(pn_diamond(5, 2, COVER))
     hh_a = hh_component(hh_x, base, 2)
     assert hh_a.dim(0) == hh_x.dim(0) - 4
 
 
 def test_component_subtraction_whole_category_unchanged():
     base = builtin("pn", {"n": 5})
-    hh_x = hkr(hodge_hypersurface(5, 3))
+    hh_x = hkr(pn_diamond(5, 3))
     assert hh_component(hh_x, base, base.length_m).dims == hh_x.dims
 
 
@@ -358,7 +406,7 @@ def test_component_subtraction_rejects_overdraw():
 
 def test_cy_check_cubic_fourfold():
     case = analyze(builtin("pn", {"n": 5}), DIV, 3)
-    report = cy_hh_check(case, hh_component(hkr(hodge_hypersurface(5, 3)), case.base, 3))
+    report = cy_hh_check(case, hh_component(hkr(pn_diamond(5, 3)), case.base, 3))
     assert report.nonvanishing and report.value == 1 and report.is_one
 
 
@@ -427,7 +475,7 @@ def test_hh_refuses_exactly_the_weights_sharing_a_factor(system):
 
 def test_weighted_divisor_pipeline_matches_double_cover():
     # the weighted realization of a double cover gives the same diamond
-    cover = hodge_double_cover(3, 2)
+    cover = pn_diamond(3, 2, COVER)
     weighted = weighted_hypersurface_diamond((1, 1, 1, 1, 2), 4)
     assert cover == weighted
 
