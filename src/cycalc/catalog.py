@@ -44,10 +44,10 @@ whose parameter list has no fixed length, has its own rules.
 
 from __future__ import annotations
 
-from math import comb, gcd
+from math import gcd
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
 
-from .errors import InvalidParams, ParseError, UnknownBase, ValidationError
+from .errors import InvalidParams, ParseError, SizeLimitExceeded, UnknownBase, ValidationError
 from .value import Value
 
 if TYPE_CHECKING:
@@ -90,6 +90,11 @@ class LefschetzBase(Value):
         return tuple(v for _, v in self.parameters)
 
 
+#: Most decimal digits of a block rank: Python prints no longer int.
+MAX_RANK_DIGITS = 4_300
+_RANK_BOUND = 10**MAX_RANK_DIGITS
+
+
 def fonarev_rank(k: int, n: int) -> int:
     """Number of exceptional objects in one block for Gr(k,n), coprime k, n.
 
@@ -98,12 +103,23 @@ def fonarev_rank(k: int, n: int) -> int:
     n the n blocks of the rectangular decomposition exhaust the C(n,k)
     classes of Gr(k,n), so the count is C(n,k)/n.  The test suite checks it
     against a direct enumeration of the diagrams and a row-by-row count.
+    C(n,k) is built factor by factor, and a rank over :data:`MAX_RANK_DIGITS`
+    digits is refused as soon as a partial product passes it.
     """
     if not (1 <= k < n):
         raise InvalidParams(f"need 1 <= k < n, got k={k}, n={n}")
     if gcd(k, n) != 1:
         raise InvalidParams(f"(k, n) must be coprime, got k={k}, n={n}")
-    return comb(n, k) // n
+    limit = n * _RANK_BOUND
+    binomial = 1
+    for j in range(min(k, n - k)):
+        binomial = binomial * (n - j) // (j + 1)
+        if binomial >= limit:
+            raise SizeLimitExceeded(
+                f"the block rank C({n},{k})/{n} of Gr({k},{n}) has more than "
+                f"{MAX_RANK_DIGITS:,} digits; refused"
+            )
+    return binomial // n
 
 
 class Family(Value):

@@ -110,13 +110,6 @@ def _resolve_base(args: argparse.Namespace) -> LefschetzBase:
     raise UnknownBase(f"unknown base id {args.base!r}")
 
 
-def _construction(args: argparse.Namespace) -> ConstructionKind:
-    try:
-        return ConstructionKind.from_name(args.construction)
-    except ValueError as exc:
-        raise CycalcError(str(exc))
-
-
 def _bounds(args: argparse.Namespace, default_kinds: tuple[ConstructionKind, ...]) -> SweepBounds:
     kinds = default_kinds
     if args.kinds:
@@ -159,7 +152,7 @@ def _add_base_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--weights", default=None, help="comma-separated weights for wpn")
     parser.add_argument(
         "--construction",
-        choices=("divisor", "cover", "root"),
+        choices=tuple(kind.value for kind in ALL_KINDS),
         required=True,
         help="spherical construction",
     )
@@ -221,7 +214,7 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
 
 def _analyze_args(args: argparse.Namespace) -> CaseResult:
     """The case named by ``--base``/family parameters, ``--construction`` and ``--degree``."""
-    return analyze(_resolve_base(args), _construction(args), args.degree)
+    return analyze(_resolve_base(args), ConstructionKind(args.construction), args.degree)
 
 
 def _cmd_case(args: argparse.Namespace) -> int:

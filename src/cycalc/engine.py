@@ -57,28 +57,46 @@ class FractionalCYWitness(Value):
 
 
 class CaseResult(Value):
-    """Full analysis of one (base, construction, degree) case."""
+    """Full analysis of one (base, construction, degree) case.
 
-    __slots__ = (
-        "base", "kind", "d", "c", "serre_power_nf", "witness", "cy_dimension",
-        "is_integer_cy", "component_is_whole", "dim_x", "error",
-    )
+    It stores what :func:`analyze` computed; an error row stores the message
+    and ``None`` for the normal form, the witness and dim X.  Everything else
+    follows from those fields and is a read-only property.
+    """
+
+    __slots__ = ("base", "kind", "d", "serre_power_nf", "witness", "dim_x", "error")
 
     def __init__(
-        self, base: LefschetzBase, kind: ConstructionKind, d: int, c: int,
+        self, base: LefschetzBase, kind: ConstructionKind, d: int,
         serre_power_nf: NormalForm | None, witness: FractionalCYWitness | None,
-        cy_dimension: Fraction | None, is_integer_cy: bool, component_is_whole: bool,
         dim_x: int | None, error: str | None = None,
     ) -> None:
-        self._set(
-            base, kind, d, c, serre_power_nf, witness, cy_dimension, is_integer_cy,
-            component_is_whole, dim_x, error,
-        )
+        self._set(base, kind, d, serre_power_nf, witness, dim_x, error)
+
+    @property
+    def c(self) -> int:
+        """c = gcd(d, m)."""
+        return gcd(self.d, self.base.length_m)
 
     @property
     def power(self) -> int:
         """Exponent q0 = d/c of the Serre functor the normal form describes."""
         return self.d // self.c
+
+    @property
+    def cy_dimension(self) -> Fraction | None:
+        """p/q of the witness; ``None`` on an error row."""
+        return self.witness and Fraction(self.witness.p, self.witness.q)
+
+    @property
+    def is_integer_cy(self) -> bool:
+        """q = 1: the Serre functor itself is a shift."""
+        return self.witness is not None and self.witness.q == 1
+
+    @property
+    def component_is_whole(self) -> bool:
+        """d = m: the component is all of D(X)."""
+        return self.d == self.base.length_m
 
 
 def serre_power(base: LefschetzBase, kind: ConstructionKind, d: int) -> NormalForm:
@@ -148,45 +166,15 @@ def _integrality_expected(kind: ConstructionKind, d: int, m: int) -> bool:
 def analyze(base: LefschetzBase, kind: ConstructionKind, d: int) -> CaseResult:
     """Run the full pipeline for one case."""
     m = base.length_m
-    c = gcd(d, m)
     nf = serre_power(base, kind, d)
     table = substitution_table(kind, d, base)
-    witness = extract_witness(nf, d // c)
-    cy_dimension = Fraction(witness.p, witness.q)
-    is_integer = witness.q == 1
-    if is_integer != _integrality_expected(kind, d, m):
+    witness = extract_witness(nf, d // gcd(d, m))
+    if (witness.q == 1) != _integrality_expected(kind, d, m):
         raise AssertionError(
             f"integrality witness disagrees with the divisibility criterion "
             f"for {base.id} {kind.value} d={d}"
         )
-    return CaseResult(
-        base=base,
-        kind=kind,
-        d=d,
-        c=c,
-        serre_power_nf=nf,
-        witness=witness,
-        cy_dimension=cy_dimension,
-        is_integer_cy=is_integer,
-        component_is_whole=(d == m),
-        dim_x=table.dim_x,
-    )
-
-
-def _error_case(base: LefschetzBase, kind: ConstructionKind, d: int, message: str) -> CaseResult:
-    return CaseResult(
-        base=base,
-        kind=kind,
-        d=d,
-        c=gcd(d, base.length_m),
-        serre_power_nf=None,
-        witness=None,
-        cy_dimension=None,
-        is_integer_cy=False,
-        component_is_whole=(d == base.length_m),
-        dim_x=None,
-        error=message,
-    )
+    return CaseResult(base, kind, d, nf, witness, table.dim_x)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +290,7 @@ def iter_cases(bounds: SweepBounds) -> Iterator[CaseResult]:
         try:
             yield analyze(base, kind, d)
         except CycalcError as exc:
-            yield _error_case(base, kind, d, str(exc))
+            yield CaseResult(base, kind, d, None, None, None, str(exc))
 
 
 def sweep(

@@ -115,39 +115,41 @@ def jacobian_poincare(weights: Sequence[int], degree: int) -> PoincareSeries:
 
 
 class HodgeDiamond(Value):
-    """Hodge numbers h^{p,q} of a smooth projective variety or V-variety.
+    """Hodge numbers h^{p,q} of a hypersurface X of dimension ``dim_x``.
 
-    Construction enforces conjugation symmetry h^{p,q} = h^{q,p}, duality
-    h^{p,q} = h^{dim-p, dim-q}, and h^{0,0} = 1.
+    Off the middle row the diamond is the ambient space's (h^{p,p} = 1, all
+    else 0), so it stores only ``primitive``, the primitive part of the middle
+    row h^{dim-q, q}, q = 0, ..., dim.  Conjugation symmetry and Serre duality
+    both say that this row is a palindrome, which construction enforces.
     """
 
-    __slots__ = ("dim_x", "hodge")
+    __slots__ = ("dim_x", "primitive")
 
-    def __init__(self, dim_x: int, hodge: tuple[tuple[int, ...], ...]) -> None:
-        self._set(dim_x, hodge)
+    def __init__(self, dim_x: int, primitive: tuple[int, ...]) -> None:
+        self._set(dim_x, primitive)
         self._validate()
 
     def _validate(self) -> None:
-        n = self.dim_x
-        if len(self.hodge) != n + 1 or any(len(row) != n + 1 for row in self.hodge):
-            raise AssertionError("hodge table must be a (dim+1) x (dim+1) grid")
-        if self.hodge[0][0] != 1:
-            raise AssertionError("h^{0,0} must be 1")
-        for p in range(n + 1):
-            for q in range(n + 1):
-                if self.hodge[p][q] != self.hodge[q][p]:
-                    raise AssertionError(f"h^{{{p},{q}}} != h^{{{q},{p}}}")
-                if self.hodge[p][q] != self.hodge[n - p][n - q]:
-                    raise AssertionError(f"h^{{{p},{q}}} breaks duality")
+        if self.primitive != self.primitive[::-1]:
+            raise AssertionError(
+                f"primitive middle row {self.primitive} breaks symmetry and duality"
+            )
 
     def h(self, p: int, q: int) -> int:
-        if 0 <= p <= self.dim_x and 0 <= q <= self.dim_x:
-            return self.hodge[p][q]
+        n = self.dim_x
+        if 0 <= p <= n and 0 <= q <= n:
+            return int(p == q) + (self.primitive[q] if p + q == n else 0)
         return 0
+
+    @property
+    def hodge(self) -> tuple[tuple[int, ...], ...]:
+        """The (dim+1) x (dim+1) table, h^{p,q} at ``hodge[p][q]``."""
+        cells = range(self.dim_x + 1)
+        return tuple(tuple(self.h(p, q) for q in cells) for p in cells)
 
     def middle_row(self) -> tuple[int, ...]:
         """h^{dim-q, q} for q = 0, ..., dim."""
-        return tuple(self.hodge[self.dim_x - q][q] for q in range(self.dim_x + 1))
+        return tuple(self.h(self.dim_x - q, q) for q in range(self.dim_x + 1))
 
 
 class _Hypersurface(NamedTuple):
@@ -189,25 +191,22 @@ def _check_size(x: _Hypersurface) -> None:
 
 
 def _diamond(x: _Hypersurface) -> HodgeDiamond:
-    """The one path to a diamond: validate, size, run the kernel, assemble.
-
-    The diamond is the ambient space's (h^{p,p} = 1) plus the primitive part
-    on the middle row; in even dimension the middle (p, p) class is that of
-    the hyperplane section.
+    """The one path to a diamond: validate, size, run the kernel, read off
+    the primitive middle row (zero for a linear space, which has no equation).
     """
     # the unit weights pass or fail together, so one of them stands for all
     checked = (1,) * min(x.ones, 1) + x.weights
     if checked:
         _validate_weights(checked, x.degree)  # the size count assumes valid weights
     _check_size(x)
-    n = x.dim_x
-    table = [[int(p == q) for q in range(n + 1)] for p in range(n + 1)]
+    primitive = (0,) * (x.dim_x + 1)
     if checked:
         series = jacobian_poincare((1,) * x.ones + x.weights, x.degree)
         shift = x.ones + sum(x.weights)
-        for q in range(n + 1):
-            table[n - q][q] += series.coefficient((q + 1) * x.degree - shift)
-    return HodgeDiamond(dim_x=n, hodge=tuple(map(tuple, table)))
+        primitive = tuple(
+            series.coefficient((q + 1) * x.degree - shift) for q in range(x.dim_x + 1)
+        )
+    return HodgeDiamond(x.dim_x, primitive)
 
 
 def _weighted(weights: Sequence[int], degree: int) -> _Hypersurface:
@@ -252,14 +251,15 @@ class HHProfile(Value):
 
 
 def hkr(diamond: HodgeDiamond) -> HHProfile:
-    """Hochschild homology of the derived category: HH_k = sum h^{p, p+k}."""
-    dims: dict[int, int] = {}
+    """Hochschild homology of the derived category: HH_k = sum h^{p, p+k}.
+
+    The diagonal gives dim + 1 to HH_0; the primitive class h^{dim-q, q}
+    lands in degree 2q - dim.
+    """
     n = diamond.dim_x
-    for p in range(n + 1):
-        for q in range(n + 1):
-            value = diamond.hodge[p][q]
-            if value:
-                dims[q - p] = dims.get(q - p, 0) + value
+    dims = {0: n + 1}
+    for q, value in enumerate(diamond.primitive):
+        dims[2 * q - n] = dims.get(2 * q - n, 0) + value
     return HHProfile(dims)
 
 
@@ -292,16 +292,22 @@ class HHCheckReport(Value):
     spinor classes of an even quadric contribute as well.
     """
 
-    __slots__ = ("n_cy", "value", "nonvanishing", "expect_one", "is_one")
+    __slots__ = ("n_cy", "value", "expect_one")
 
-    def __init__(
-        self, n_cy: int, value: int, nonvanishing: bool, expect_one: bool, is_one: bool | None
-    ) -> None:
-        self._set(n_cy, value, nonvanishing, expect_one, is_one)
+    def __init__(self, n_cy: int, value: int, expect_one: bool) -> None:
+        self._set(n_cy, value, expect_one)
+
+    @property
+    def nonvanishing(self) -> bool:
+        return self.value > 0
 
     @property
     def passed(self) -> bool:
         return self.nonvanishing
+
+    @property
+    def is_one(self) -> bool | None:
+        return self.value == 1 if self.expect_one else None
 
 
 def cy_hh_check(case: CaseResult, hh_a: HHProfile) -> HHCheckReport:
@@ -309,22 +315,15 @@ def cy_hh_check(case: CaseResult, hh_a: HHProfile) -> HHCheckReport:
 
     The reported value equals the component's zeroth Hochschild cohomology.
     """
-    if not case.is_integer_cy or case.witness is None:
+    if not case.is_integer_cy:
         raise NotIntegerCY(
             f"case {case.base.id} {case.kind.value} d={case.d} has no integer witness"
         )
     n_cy = case.witness.p
-    value = hh_a.dim(-n_cy)
     expect_one = (
         case.base.id == "pn" and case.kind is ConstructionKind.DIVISOR and n_cy != 0
     )
-    return HHCheckReport(
-        n_cy=n_cy,
-        value=value,
-        nonvanishing=value > 0,
-        expect_one=expect_one,
-        is_one=(value == 1) if expect_one else None,
-    )
+    return HHCheckReport(n_cy=n_cy, value=hh_a.dim(-n_cy), expect_one=expect_one)
 
 
 def _ambient(base: LefschetzBase) -> tuple[int, tuple[int, ...]] | None:

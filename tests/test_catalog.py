@@ -1,6 +1,7 @@
 """Builtin catalog, block-rank combinatorics, and the catalog file format."""
 
 import json
+import sys
 from math import comb, gcd
 
 import pytest
@@ -8,13 +9,14 @@ import pytest
 from cycalc.catalog import (
     BUILTIN_IDS,
     FAMILIES,
+    MAX_RANK_DIGITS,
     LefschetzBase,
     builtin,
     fonarev_rank,
     load_catalog_file,
     merge_user_catalog,
 )
-from cycalc.errors import InvalidParams, ParseError, UnknownBase, ValidationError
+from cycalc.errors import InvalidParams, ParseError, SizeLimitExceeded, UnknownBase, ValidationError
 from reference import catalog_record, catalog_text, fonarev_rank_by_rows, replace
 
 
@@ -167,6 +169,22 @@ def test_fonarev_rank_matches_the_row_by_row_count():
     pairs += [(7, 200), (30, 127), (64, 129), (99, 250)]
     for k, n in pairs:
         assert fonarev_rank(k, n) == fonarev_rank_by_rows(k, n), (k, n)
+
+
+def test_rank_ceiling_is_the_longest_int_python_prints():
+    # C(n, 2003)/n = C(n-1, 2002)/2003 grows with n; it reaches 4,301 digits at
+    # n = 105162, and both n are coprime to the prime 2003
+    inside, outside = 105161, 105162
+    assert len(str(fonarev_rank(2003, inside))) == MAX_RANK_DIGITS
+    with pytest.raises(SizeLimitExceeded, match="has more than 4,300 digits; refused"):
+        fonarev_rank(2003, outside)
+    too_long = comb(outside, 2003) // outside
+    default = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert len(str(too_long)) == MAX_RANK_DIGITS + 1
+    finally:
+        sys.set_int_max_str_digits(default)
 
 
 def test_rank_times_length_matches_known_k_theory():

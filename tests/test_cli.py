@@ -597,6 +597,26 @@ def test_oversized_hodge_exits_2_quickly_without_traceback():
 
 
 @pytest.mark.parametrize(
+    "k, n, fmt",
+    [("3000", "100001", "json"), ("1000000", "2000001", "table")],
+)
+def test_oversized_grassmannian_exits_2_quickly_without_traceback(k, n, fmt):
+    env = dict(os.environ, PYTHONPATH=str(Path(cycalc.__file__).resolve().parents[1]))
+    argv = [
+        sys.executable, "-m", "cycalc", "case", "--base", "gr", "--k", k, "--n", n,
+        "--construction", "divisor", "--degree", "1", "--format", fmt,
+    ]
+    start = time.perf_counter()
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    assert time.perf_counter() - start < 5
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        f"error: the block rank C({n},{k})/{n} of Gr({k},{n}) has more than 4,300 digits; "
+        "refused\n"
+    )
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("sweep", "--max-n", "100000"),
@@ -631,6 +651,22 @@ def test_hodge_self_check_failure_exits_3(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "internal error: h^{0,0} must be 1\n"
+
+
+@pytest.mark.parametrize("command", ["hodge", "hh"])
+def test_a_middle_row_that_is_no_palindrome_exits_3(capsys, monkeypatch, command):
+    from cycalc import hodge
+
+    # the cubic fourfold reads degrees -3, 0, 3, 6, 9: a lone t^0 gives (0, 1, 0, 0, 0)
+    monkeypatch.setattr(hodge, "jacobian_poincare", lambda *a: hodge.PoincareSeries((1,)))
+    code, out, err = run(
+        capsys, command, "--base", "pn", "--n", "5",
+        "--construction", "divisor", "--degree", "3",
+    )
+    assert (code, out) == (3, "")
+    assert err == (
+        "internal error: primitive middle row (0, 1, 0, 0, 0) breaks symmetry and duality\n"
+    )
 
 
 def test_integrality_cross_check_failure_exits_3(capsys, monkeypatch):

@@ -107,10 +107,9 @@ def test_repr_is_the_dataclass_repr():
     )
     assert repr(builtin("pn", {"n": 5})) == base
     assert repr(analyze(builtin("pn", {"n": 5}), DIV, 3)) == (
-        f"CaseResult(base={base}, kind=<ConstructionKind.DIVISOR: 'divisor'>, d=3, c=3, "
+        f"CaseResult(base={base}, kind=<ConstructionKind.DIVISOR: 'divisor'>, d=3, "
         "serre_power_nf=NormalForm(shift=2, ltwist=0, tau=0, chi=0), "
-        "witness=FractionalCYWitness(p=2, q=1), cy_dimension=Fraction(2, 1), "
-        "is_integer_cy=True, component_is_whole=False, dim_x=4, error=None)"
+        "witness=FractionalCYWitness(p=2, q=1), dim_x=4, error=None)"
     )
 
 
