@@ -17,14 +17,16 @@ Two layers are provided:
 * :class:`NormalForm` - an element of the resolved group, with exact integer
   components (Python ints never overflow, so parameter sweeps are safe).
 * :class:`Word` - a formal product of symbolic generators with integer
-  exponents.  Spherical twists, Serre functors and the two standard
-  composites stay symbolic until a geometric construction supplies a
-  substitution table; :func:`resolve` then collapses a word to a normal form.
+  exponents.  Every generator is symbolic: spherical twists, Serre functors
+  and the two standard composites have no meaning until a geometric
+  construction supplies a substitution table; :func:`resolve` then collapses
+  a word to a normal form.
 """
 
 from __future__ import annotations
 
 import enum
+from types import MappingProxyType
 from typing import Mapping
 
 from .value import Value
@@ -33,8 +35,8 @@ from .value import Value
 class Generator(enum.Enum):
     """Symbols that may occur in a word.
 
-    The first four resolve intrinsically; the last four are placeholders
-    whose meaning depends on the spherical construction:
+    Each is a placeholder whose meaning depends on the spherical
+    construction, so it resolves only through that construction's table:
 
     * ``SPHERICAL_TWIST`` - twist T induced on the source by the spherical
       pushforward,
@@ -44,10 +46,6 @@ class Generator(enum.Enum):
     * ``SERRE_TWIST`` - S composed with T and the length-m line twist.
     """
 
-    SHIFT = "shift"
-    LINE_TWIST = "line_twist"
-    INVOLUTION = "involution"
-    CHARACTER = "character"
     SPHERICAL_TWIST = "spherical_twist"
     SERRE = "serre"
     COMP_TWIST = "comp_twist"
@@ -88,14 +86,6 @@ class NormalForm(Value):
 
 IDENTITY = NormalForm()
 
-#: Normal forms of the intrinsically resolvable generators.
-_BASE_FORMS: Mapping[Generator, NormalForm] = {
-    Generator.SHIFT: NormalForm(shift=1),
-    Generator.LINE_TWIST: NormalForm(ltwist=1),
-    Generator.INVOLUTION: NormalForm(tau=1),
-    Generator.CHARACTER: NormalForm(chi=1),
-}
-
 
 class Word(Value):
     """Formal product of generator powers; the empty word is the identity.
@@ -111,24 +101,19 @@ class Word(Value):
         self._set(factors)
 
 
-def resolve(word: Word, table: Mapping[Generator, NormalForm] | None = None) -> NormalForm:
+def resolve(word: Word, table: Mapping[Generator, NormalForm] = MappingProxyType({})) -> NormalForm:
     """Collapse a word to its normal form.
 
-    ``table`` supplies normal forms for the symbolic generators (spherical
-    twist, Serre functor and their composites); base generators need no
-    entry.  Raises :class:`~cycalc.errors.UnresolvedGenerator` when a
-    symbolic factor has no substitution.
+    ``table`` supplies the normal form of each generator (spherical twist,
+    Serre functor and their composites).  Raises
+    :class:`~cycalc.errors.UnresolvedGenerator` when a factor has no entry.
     """
     from .errors import UnresolvedGenerator
 
     result = IDENTITY
     for gen, exponent in word.factors:
-        form = _BASE_FORMS.get(gen)
+        form = table.get(gen)
         if form is None:
-            if table is None or gen not in table:
-                raise UnresolvedGenerator(
-                    f"generator {gen.value!r} has no substitution entry"
-                )
-            form = table[gen]
+            raise UnresolvedGenerator(f"generator {gen.value!r} has no substitution entry")
         result = result.compose(form.power(exponent))
     return result

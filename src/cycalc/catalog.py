@@ -56,11 +56,19 @@ if TYPE_CHECKING:
     from .engine import SweepBounds
 
 
+#: Most decimal digits of dim M and of m.  Every integer a command prints is
+#: at most about (dim M + 1) m, for example the shift ((dim M + 1) d - 2m)/c,
+#: so it then has at most 4,001 digits: Python prints no longer int than 4,300.
+MAX_SIZE_DIGITS = 2_000
+_SIZE_BOUND = 10**MAX_SIZE_DIGITS
+
+
 class LefschetzBase(Value):
     """Numerical data of one rectangular Lefschetz decomposition.
 
     ``parameters`` may be given as a mapping or as ``(name, value)`` pairs; it
     is stored as a tuple of pairs in the order given, so bases are hashable.
+    A dim M or m of more than :data:`MAX_SIZE_DIGITS` digits is refused.
     """
 
     __slots__ = (
@@ -80,6 +88,9 @@ class LefschetzBase(Value):
             raise ValidationError(f"rank_b must be >= 1, got {rank_b}")
         if dim_m < 0:
             raise ValidationError(f"dim_m must be >= 0, got {dim_m}")
+        for name, value in (("dim_m", dim_m), ("length_m", length_m)):
+            if value >= _SIZE_BOUND:
+                raise SizeLimitExceeded(f"{name} has more than {MAX_SIZE_DIGITS:,} digits; refused")
         self._set(
             id, display_name, dim_m, length_m, rank_b, line_bundle_note,
             omega_is_l_minus_m, tuple(dict(parameters).items()), chi_stable,
@@ -362,66 +373,49 @@ def builtin(base_id: str, params: Mapping[str, int] | None = None) -> LefschetzB
 
 
 # ---------------------------------------------------------------------------
-# Catalog files: a JSON array of concrete base records.  Keys outside the
-# schema are rejected so that typos fail loudly instead of silently.
+# Catalog files: a JSON array of concrete base records, whose keys are
+# ``LefschetzBase``'s parameters.  Keys outside the schema are rejected so
+# that typos fail loudly instead of silently.
 # ---------------------------------------------------------------------------
 
-_REQUIRED_KEYS = (
-    "id",
-    "display_name",
-    "dim_m",
-    "length_m",
-    "rank_b",
-    "line_bundle_note",
-    "omega_is_l_minus_m",
-    "parameters",
-)
-_OPTIONAL_KEYS = ("chi_stable",)
-
-
-def _check_int(entry_id: str, key: str, value: object) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"entry {entry_id!r}: field {key!r} must be an integer")
-    return value
+#: Each key of a catalog entry with its JSON type and whether it is required.
+_ENTRY_SCHEMA: dict[str, tuple[type, bool]] = {
+    "id": (str, True),
+    "display_name": (str, True),
+    "dim_m": (int, True),
+    "length_m": (int, True),
+    "rank_b": (int, True),
+    "line_bundle_note": (str, True),
+    "omega_is_l_minus_m": (bool, True),
+    "parameters": (dict, True),
+    "chi_stable": (bool, False),
+}
+_TYPE_NAMES = {str: "a string", int: "an integer", bool: "a boolean", dict: "an object"}
 
 
 def base_from_record(record: object) -> LefschetzBase:
     if not isinstance(record, dict):
         raise ValidationError("catalog entry must be a JSON object")
     entry_id = record.get("id", "<missing id>")
-    unknown = sorted(set(record) - set(_REQUIRED_KEYS) - set(_OPTIONAL_KEYS))
+    unknown = sorted(set(record) - set(_ENTRY_SCHEMA))
     if unknown:
         raise ValidationError(f"entry {entry_id!r}: unknown key {unknown[0]!r}")
-    for key in _REQUIRED_KEYS:
-        if key not in record:
+    for key, (_, required) in _ENTRY_SCHEMA.items():
+        if required and key not in record:
             raise ValidationError(f"entry {entry_id!r}: missing field {key!r}")
-    if not isinstance(record["id"], str) or not record["id"]:
+    if not isinstance(entry_id, str) or not entry_id:
         raise ValidationError("field 'id' must be a nonempty string")
-    if not isinstance(record["display_name"], str):
-        raise ValidationError(f"entry {entry_id!r}: field 'display_name' must be a string")
-    if not isinstance(record["line_bundle_note"], str):
-        raise ValidationError(f"entry {entry_id!r}: field 'line_bundle_note' must be a string")
-    if not isinstance(record["omega_is_l_minus_m"], bool):
-        raise ValidationError(f"entry {entry_id!r}: field 'omega_is_l_minus_m' must be a boolean")
-    chi_stable = record.get("chi_stable", True)
-    if not isinstance(chi_stable, bool):
-        raise ValidationError(f"entry {entry_id!r}: field 'chi_stable' must be a boolean")
-    params = record["parameters"]
-    if not isinstance(params, dict):
-        raise ValidationError(f"entry {entry_id!r}: field 'parameters' must be an object")
-    for key, value in params.items():
-        _check_int(entry_id, f"parameters.{key}", value)
-    return LefschetzBase(
-        id=record["id"],
-        display_name=record["display_name"],
-        dim_m=_check_int(entry_id, "dim_m", record["dim_m"]),
-        length_m=_check_int(entry_id, "length_m", record["length_m"]),
-        rank_b=_check_int(entry_id, "rank_b", record["rank_b"]),
-        line_bundle_note=record["line_bundle_note"],
-        omega_is_l_minus_m=record["omega_is_l_minus_m"],
-        parameters=params,
-        chi_stable=chi_stable,
-    )
+    # type(), not isinstance(): a JSON true or false is no integer
+    for key, (expected, _) in _ENTRY_SCHEMA.items():
+        if key in record and type(record[key]) is not expected:
+            kind = _TYPE_NAMES[expected]
+            raise ValidationError(f"entry {entry_id!r}: field {key!r} must be {kind}")
+    for key, value in record["parameters"].items():
+        if type(value) is not int:
+            raise ValidationError(
+                f"entry {entry_id!r}: field 'parameters.{key}' must be an integer"
+            )
+    return LefschetzBase(**record)
 
 
 def load_catalog_file(path: str | Path) -> list[LefschetzBase]:
@@ -439,7 +433,9 @@ def load_catalog_file(path: str | Path) -> list[LefschetzBase]:
         ) from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # malformed JSON, an integer literal of more digits than Python
+        # converts, or arrays and objects nested past the recursion limit
         raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(data, list):
         raise ParseError(f"{path}: top-level value must be a JSON array")

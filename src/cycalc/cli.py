@@ -48,6 +48,14 @@ class _Parser(argparse.ArgumentParser):
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        # argparse strips the "--" of "--degree=--" and stores an empty list
+        for name, value in vars(namespace).items():
+            if value == []:
+                self.error(f"argument --{name.replace('_', '-')}: expected one argument")
+        return namespace, extras
+
 
 def _parse_cy_dim(text: str) -> Fraction:
     try:
@@ -66,9 +74,10 @@ def _parse_kinds(text: str) -> tuple[ConstructionKind, ...]:
         if not name:
             continue
         try:
-            kinds.append(ConstructionKind.from_name(name))
-        except ValueError as exc:
-            raise CycalcError(str(exc))
+            kinds.append(ConstructionKind(name))
+        except ValueError:
+            *rest, last = (kind.value for kind in ALL_KINDS)
+            raise CycalcError(f"unknown construction {name!r}; use {', '.join(rest)} or {last}")
     if not kinds:
         raise CycalcError("at least one construction kind is required")
     return tuple(kinds)
@@ -274,18 +283,7 @@ def _cmd_hodge(args: argparse.Namespace) -> int:
             row = " ".join(str(diamond.h(p, q)) for p in range(diamond.dim_x + 1))
             print(row)
         return EXIT_OK
-    row = {
-        "schema_version": records.SCHEMA_VERSION,
-        "base_id": base.id,
-        "base": base.display_name,
-        "params": dict(base.parameters),
-        "construction": kind.value,
-        "degree": args.degree,
-        "dim_x": diamond.dim_x,
-        "hodge": [list(r) for r in diamond.hodge],
-        "middle_row": list(diamond.middle_row()),
-    }
-    _emit([row], args.format)
+    _emit([records.hodge_record(case, diamond)], args.format)
     return EXIT_OK
 
 
@@ -305,7 +303,7 @@ def _cmd_hh(args: argparse.Namespace) -> int:
         if check is None:
             print("homology check: skipped (component is not an integer Calabi-Yau case)")
         else:
-            status = "PASS" if check.passed else "FAIL"
+            status = "PASS" if check.nonvanishing else "FAIL"
             print(
                 f"homology check: HH_{-check.n_cy}(component) = {check.value} "
                 f"(nonzero required) -> {status}"

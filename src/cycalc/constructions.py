@@ -40,13 +40,6 @@ class ConstructionKind(enum.Enum):
     DOUBLE_COVER = "cover"
     ROOT_STACK = "root"
 
-    @classmethod
-    def from_name(cls, name: str) -> "ConstructionKind":
-        for kind in cls:
-            if kind.value == name:
-                return kind
-        raise ValueError(f"unknown construction {name!r}; use divisor, cover or root")
-
 
 ALL_KINDS: tuple[ConstructionKind, ...] = (
     ConstructionKind.DIVISOR,

@@ -54,8 +54,9 @@ class HodgeUnsupported(CycalcError):
 
 
 class SizeLimitExceeded(CycalcError):
-    """A Hodge/Hochschild request or a sweep window would exceed its size
-    ceiling; it is refused before any series, table or case is computed."""
+    """A base's numbers, a Hodge/Hochschild request or a sweep window would
+    exceed its size ceiling; it is refused before any series, table or case
+    is computed."""
 
 
 class ParseError(CycalcError):

@@ -284,7 +284,7 @@ def hh_component(hh_x: HHProfile, base: LefschetzBase, d: int) -> HHProfile:
 class HHCheckReport(Value):
     """Outcome of the degree -n nonvanishing check for an integer CY case.
 
-    ``passed`` is the nonvanishing requirement.  For hypersurfaces in
+    The check passes when ``nonvanishing`` holds.  For hypersurfaces in
     projective space the report additionally records whether the value is
     one-dimensional; that observation holds whenever the dimension is
     nonzero (a single middle Hodge group, one-dimensional by the residue
@@ -300,10 +300,6 @@ class HHCheckReport(Value):
     @property
     def nonvanishing(self) -> bool:
         return self.value > 0
-
-    @property
-    def passed(self) -> bool:
-        return self.nonvanishing
 
     @property
     def is_one(self) -> bool | None:

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 if TYPE_CHECKING:
     from .engine import CaseResult
-    from .hodge import HHPipelineResult
+    from .hodge import HHPipelineResult, HodgeDiamond
 
 SCHEMA_VERSION = 1
 
@@ -59,14 +59,21 @@ def _fraction_str(value) -> str | None:
     return f"{value.numerator}/{value.denominator}"
 
 
-def case_record(case: CaseResult) -> dict:
-    witness = case.witness
-    nf = case.serre_power_nf
+def _case_header(case: CaseResult) -> dict:
+    """The fields that open every record about one case."""
     return {
         "schema_version": SCHEMA_VERSION,
         "base_id": case.base.id,
         "base": case.base.display_name,
         "params": dict(case.base.parameters),
+    }
+
+
+def case_record(case: CaseResult) -> dict:
+    witness = case.witness
+    nf = case.serre_power_nf
+    return {
+        **_case_header(case),
         "dim_m": case.base.dim_m,
         "length_m": case.base.length_m,
         "rank_b": case.base.rank_b,
@@ -89,13 +96,21 @@ def case_record(case: CaseResult) -> dict:
     }
 
 
+def hodge_record(case: CaseResult, diamond: HodgeDiamond) -> dict:
+    return {
+        **_case_header(case),
+        "construction": case.kind.value,
+        "degree": case.d,
+        "dim_x": diamond.dim_x,
+        "hodge": [list(r) for r in diamond.hodge],
+        "middle_row": list(diamond.middle_row()),
+    }
+
+
 def hh_record(case: CaseResult, pipeline: HHPipelineResult) -> dict:
     check = pipeline.check
     return {
-        "schema_version": SCHEMA_VERSION,
-        "base_id": case.base.id,
-        "base": case.base.display_name,
-        "params": dict(case.base.parameters),
+        **_case_header(case),
         "construction": case.kind.value,
         "degree": case.d,
         "dim_x": pipeline.diamond.dim_x,
@@ -108,7 +123,7 @@ def hh_record(case: CaseResult, pipeline: HHPipelineResult) -> dict:
         "check_value": check.value if check else None,
         "check_nonvanishing": check.nonvanishing if check else None,
         "check_expect_one": check.expect_one if check else None,
-        "check_passed": check.passed if check else None,
+        "check_passed": check.nonvanishing if check else None,
     }
 
 

@@ -111,11 +111,6 @@ def test_empty_word_is_identity():
     assert resolve(Word()) == IDENTITY
 
 
-def test_base_generators_resolve_without_table():
-    word = Word(((Generator.SHIFT, 3), (Generator.LINE_TWIST, -2), (Generator.INVOLUTION, 5)))
-    assert resolve(word) == NormalForm(shift=3, ltwist=-2, tau=1)
-
-
 def test_comp_twist_resolves_through_table():
     assert resolve(Word(((Generator.COMP_TWIST, 1),)), TABLE) == NormalForm(shift=2)
 
@@ -146,9 +141,11 @@ def test_resolve_is_permutation_invariant(factors, rng):
 
 
 def test_base_generator_set():
-    assert resolve(Word(((Generator.SHIFT, 1),))) == NormalForm(shift=1)
-    with pytest.raises(UnresolvedGenerator):
-        resolve(Word(((Generator.COMP_TWIST, 1),)))
+    # every generator is symbolic: none resolves without a table entry
+    assert set(TABLE) == set(Generator)
+    for generator in Generator:
+        with pytest.raises(UnresolvedGenerator, match=f"generator '{generator.value}' has no"):
+            resolve(Word(((generator, 1),)))
 
 
 # ---------------------------------------------------------------------------

@@ -5,18 +5,23 @@ import sys
 from math import comb, gcd
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from cycalc.catalog import (
     BUILTIN_IDS,
     FAMILIES,
     MAX_RANK_DIGITS,
+    MAX_SIZE_DIGITS,
     LefschetzBase,
     builtin,
     fonarev_rank,
     load_catalog_file,
     merge_user_catalog,
 )
-from cycalc.errors import InvalidParams, ParseError, SizeLimitExceeded, UnknownBase, ValidationError
+from cycalc.errors import (
+    CycalcError, InvalidParams, ParseError, SizeLimitExceeded, UnknownBase, ValidationError,
+)
 from reference import catalog_record, catalog_text, fonarev_rank_by_rows, replace
 
 
@@ -373,3 +378,221 @@ def test_family_metadata_is_complete():
         assert family.dim_formula
         assert family.length_formula
         assert family.rank_formula
+
+
+# ---------------------------------------------------------------------------
+# Catalog file faults: pinned messages, hostile documents
+# ---------------------------------------------------------------------------
+
+VALID_ENTRY = {
+    "id": "mine", "display_name": "my base", "dim_m": 5, "length_m": 6, "rank_b": 1,
+    "line_bundle_note": "O(1)", "omega_is_l_minus_m": True, "parameters": {"n": 5},
+    "chi_stable": True,
+}
+DELETE = object()
+
+#: One fault in an otherwise valid entry, and its message byte for byte.
+SINGLE_FAULTS = [
+    ({"surprise": 1}, "entry 'mine': unknown key 'surprise'"),
+    ({"zzz": 1, "aaa": 2}, "entry 'mine': unknown key 'aaa'"),
+    ({"id": DELETE}, "entry '<missing id>': missing field 'id'"),
+    *(
+        ({key: DELETE}, f"entry 'mine': missing field '{key}'")
+        for key in (
+            "display_name", "dim_m", "length_m", "rank_b", "line_bundle_note",
+            "omega_is_l_minus_m", "parameters",
+        )
+    ),
+    *(
+        ({"id": value}, "field 'id' must be a nonempty string")
+        for value in (5, None, True, [], {}, 1.5, "")
+    ),
+    *(
+        ({key: value}, f"entry 'mine': field '{key}' must be a string")
+        for key in ("display_name", "line_bundle_note")
+        for value in (5, None, True, [], {}, 1.5)
+    ),
+    *(
+        ({key: value}, f"entry 'mine': field '{key}' must be an integer")
+        for key in ("dim_m", "length_m", "rank_b")
+        for value in ("5", True, False, 5.0, None, [5], {})
+    ),
+    *(
+        ({key: value}, f"entry 'mine': field '{key}' must be a boolean")
+        for key in ("omega_is_l_minus_m", "chi_stable")
+        for value in (1, 0, "true", None, [])
+    ),
+    *(
+        ({"parameters": value}, "entry 'mine': field 'parameters' must be an object")
+        for value in ([], 5, "n=5", None, True)
+    ),
+    *(
+        ({"parameters": {"n": value}}, "entry 'mine': field 'parameters.n' must be an integer")
+        for value in ("5", True, 5.0, None)
+    ),
+    ({"parameters": {"a": 1, "b": []}}, "entry 'mine': field 'parameters.b' must be an integer"),
+    ({"length_m": 0}, "length_m must be >= 1, got 0"),
+    ({"length_m": -3}, "length_m must be >= 1, got -3"),
+    ({"rank_b": 0}, "rank_b must be >= 1, got 0"),
+    ({"rank_b": -1}, "rank_b must be >= 1, got -1"),
+    ({"dim_m": -1}, "dim_m must be >= 0, got -1"),
+]
+
+
+def write_entry(tmp_path, patch):
+    record = dict(VALID_ENTRY)
+    for key, value in patch.items():
+        if value is DELETE:
+            del record[key]
+        else:
+            record[key] = value
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps([record]), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("patch, message", SINGLE_FAULTS)
+def test_single_fault_messages_are_pinned(tmp_path, patch, message):
+    with pytest.raises(ValidationError) as err:
+        load_catalog_file(write_entry(tmp_path, patch))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("[5]", ValidationError, "catalog entry must be a JSON object"),
+        ("[null]", ValidationError, "catalog entry must be a JSON object"),
+        ("{}", ParseError, "{path}: top-level value must be a JSON array"),
+        ("5", ParseError, "{path}: top-level value must be a JSON array"),
+        (
+            "{not json", ParseError,
+            "{path}: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
+        ),
+        ("", ParseError, "{path}: Expecting value: line 1 column 1 (char 0)"),
+        (json.dumps([VALID_ENTRY, VALID_ENTRY]), ValidationError, "duplicate catalog id 'mine'"),
+    ],
+)
+def test_document_fault_messages_are_pinned(tmp_path, text, error, message):
+    path = tmp_path / "catalog.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(error) as err:
+        load_catalog_file(path)
+    assert str(err.value) == message.format(path=path)
+
+
+def test_valid_entry_is_its_lefschetz_base(tmp_path):
+    (base,) = load_catalog_file(write_entry(tmp_path, {}))
+    assert base == LefschetzBase(**VALID_ENTRY)
+    (base,) = load_catalog_file(write_entry(tmp_path, {"chi_stable": DELETE}))
+    assert base.chi_stable is True
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # json.loads raises a plain ValueError: Python converts no longer int
+        '[{"id": "big", "rank_b": ' + "9" * 5000 + "}]",
+        # json.loads raises RecursionError
+        "[" * 100_000 + "]" * 100_000,
+    ],
+    ids=["5000-digit integer", "arrays nested 100000 deep"],
+)
+def test_unreadable_json_is_a_parse_error_naming_the_file(tmp_path, text):
+    path = tmp_path / "catalog.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        load_catalog_file(path)
+    assert str(err.value).startswith(f"{path}: ")
+
+
+def test_size_bound_is_digits_of_dim_and_length():
+    assert MAX_SIZE_DIGITS == 2_000
+    largest = 10**MAX_SIZE_DIGITS - 1
+    assert LefschetzBase("big", "big", largest, largest, 1, "").length_m == largest
+    for field in ("dim_m", "length_m"):
+        fields = {"dim_m": 2, "length_m": 3, field: largest + 1}
+        with pytest.raises(SizeLimitExceeded) as err:
+            LefschetzBase("big", "big", rank_b=1, line_bundle_note="", **fields)
+        assert str(err.value) == f"{field} has more than 2,000 digits; refused"
+
+
+def test_every_builtin_base_is_built_under_the_size_bound():
+    with pytest.raises(SizeLimitExceeded, match="dim_m has more than 2,000 digits"):
+        builtin("pn", {"n": 10**4300 - 1})
+    with pytest.raises(SizeLimitExceeded, match="dim_m has more than 2,000 digits"):
+        builtin("gr", {"k": 2, "n": 10**3000 + 1})
+    with pytest.raises(SizeLimitExceeded, match="length_m has more than 2,000 digits"):
+        builtin("wpn", {"w0": 1, "w1": 10**2000 - 1})
+
+
+# A JSON value as text.  Integers are written out digit by digit, because
+# json.dumps cannot print one of more than 4,300 digits either.
+json_ints = st.one_of(
+    st.integers(min_value=-(10**6), max_value=10**6),
+    st.tuples(st.sampled_from(["", "-"]), st.integers(min_value=1, max_value=6000)).map(
+        lambda sign_digits: sign_digits[0] + "9" * sign_digits[1]
+    ),
+    st.integers(min_value=1990, max_value=2010).map(lambda digits: "1" + "0" * digits),
+).map(str)
+json_scalars = st.one_of(
+    json_ints,
+    st.sampled_from(["true", "false", "null", "1.5", "-0.0", "1e400", '""', '"x"', "{}", "[]"]),
+    st.text(max_size=5).map(json.dumps),
+)
+json_nested = st.integers(min_value=1, max_value=3000).map(lambda depth: "[" * depth + "]" * depth)
+json_values = st.one_of(json_scalars, json_nested)
+
+
+@st.composite
+def entry_texts(draw):
+    """An entry object whose fields are valid, missing or hostile, plus extra keys."""
+    fields = []
+    for key, value in VALID_ENTRY.items():
+        choice = draw(st.sampled_from(["valid", "valid", "missing", "hostile"]))
+        if choice == "missing":
+            continue
+        if choice == "valid":
+            text = json.dumps(value)
+        elif key == "parameters":
+            names = draw(st.lists(st.sampled_from(["n", "k", "w0"]), max_size=3, unique=True))
+            text = draw(st.one_of(
+                json_values,
+                st.lists(json_values, min_size=len(names), max_size=len(names)).map(
+                    lambda values: "{" + ", ".join(
+                        f'"{name}": {value}' for name, value in zip(names, values)
+                    ) + "}"
+                ),
+            ))
+        else:
+            text = draw(json_values)
+        fields.append(f'"{key}": {text}')
+    if draw(st.booleans()):
+        fields.append(f'"extra": {draw(json_values)}')
+    return "{" + ", ".join(draw(st.permutations(fields))) + "}"
+
+
+catalog_documents = st.one_of(
+    st.lists(st.one_of(entry_texts(), json_values), max_size=3).map(
+        lambda entries: "[" + ", ".join(entries) + "]"
+    ),
+    json_values,
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(catalog_documents)
+@example("[" * 100_000 + "]" * 100_000)
+@example('[{"id": "x", "dim_m": ' + "9" * 5000 + "}]")
+@example('[{"surprise": 1, "id": ' + "[" * 990 + "]" * 990 + "}]")
+def test_hostile_catalog_documents_give_bases_or_a_cycalc_error(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("hostile") / "catalog.json"
+    path.write_text(text, encoding="utf-8")
+    try:
+        bases = load_catalog_file(path)
+    except CycalcError:
+        return
+    for base in bases:
+        assert isinstance(base, LefschetzBase)
+        # every number of a loaded base can be printed
+        str(base.dim_m), str(base.length_m), str(base.rank_b), str(base.parameters)

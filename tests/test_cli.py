@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, formats, determinism, user catalogs."""
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -11,11 +12,13 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import cycalc
 
 from cycalc import cli
-from cycalc.catalog import builtin
+from cycalc.catalog import FAMILIES, builtin
 from cycalc.constructions import ALL_KINDS, ConstructionKind
 from cycalc.records import CASE_FIELDS, SCHEMA_VERSION
 from reference import catalog_record, catalog_text
@@ -771,3 +774,153 @@ def test_user_catalog_not_utf8_exit_2(tmp_path, capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {path}: catalog is not UTF-8 text")
+
+
+# ---------------------------------------------------------------------------
+# hostile input: pinned messages, integer bounds, no traceback
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("sweep", "--kinds", "triple"), ("verify", "--kinds", "divisor, triple")],
+)
+def test_unknown_kind_message_is_pinned(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: unknown construction 'triple'; use divisor, cover or root\n"
+
+
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+def test_projective_space_of_4300_digit_dimension_exits_2(capsys, fmt):
+    code, out, err = run(
+        capsys, "case", "--base", "pn", "--n", "9" * 4300, "--construction", "divisor",
+        "--degree", "1", "--format", fmt,
+    )
+    assert (code, out, err) == (2, "", "error: dim_m has more than 2,000 digits; refused\n")
+
+
+def write_user_catalog(tmp_path, monkeypatch, base_id, **raw):
+    """A one-entry catalog, P^5 renamed ``base_id``, whose ``raw`` fields hold JSON text.
+
+    json.dumps cannot print an integer of more than 4,300 digits, so such
+    values are spliced into the text.
+    """
+    record = dict(catalog_record(builtin("pn", {"n": 5})), id=base_id)
+    text = json.dumps([{**record, **{key: f"@{key}@" for key in raw}}])
+    for key, value in raw.items():
+        text = text.replace(f'"@{key}@"', value)
+    path = tmp_path / "catalog.json"
+    path.write_text(text, encoding="utf-8")
+    monkeypatch.setenv("CYCALC_CATALOG", str(path))
+    return path
+
+
+@pytest.mark.parametrize(
+    "value",
+    ["9" * 5000, "[" * 100_000 + "]" * 100_000],
+    ids=["5000-digit integer", "arrays nested 100000 deep"],
+)
+def test_unreadable_user_catalog_exits_2_naming_the_file(tmp_path, capsys, monkeypatch, value):
+    path = write_user_catalog(tmp_path, monkeypatch, "mine", rank_b=value)
+    code, out, err = run(capsys, "catalog")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+
+def test_user_base_with_4300_digit_length_exits_2(tmp_path, capsys, monkeypatch):
+    write_user_catalog(tmp_path, monkeypatch, "long", length_m="9" * 4300)
+    for fmt in ("table", "json", "csv"):
+        code, out, err = run(
+            capsys, "case", "--base", "long", "--construction", "divisor", "--degree", "1",
+            "--format", fmt,
+        )
+        assert (code, out, err) == (2, "", "error: length_m has more than 2,000 digits; refused\n")
+
+
+def test_largest_admitted_user_base_prints_in_every_format(tmp_path, capsys, monkeypatch):
+    largest = 10**2000 - 1
+    write_user_catalog(tmp_path, monkeypatch, "huge", dim_m=str(largest), length_m=str(largest))
+    for kind in ("divisor", "cover", "root"):
+        for fmt in ("table", "json", "csv"):
+            code, out, err = run(
+                capsys, "case", "--base", "huge", "--construction", kind,
+                "--degree", str(largest - 1), "--format", fmt,
+            )
+            assert (code, err) == (0, "")
+            assert str(largest) in out or fmt == "table"
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (("case", "--base", "sgr36", "--construction", "divisor", "--degree=--"), "--degree"),
+        (("case", "--base=--", "--construction", "divisor", "--degree", "1"), "--base"),
+        (("hh", "--base", "wpn", "--weights=--", "--construction", "divisor", "--degree", "1"),
+         "--weights"),
+        (("sweep", "--kinds=--"), "--kinds"),
+        (("verify", "--max-weight-sum=--"), "--max-weight-sum"),
+    ],
+)
+def test_an_option_given_as_two_dashes_is_a_usage_error(capsys, argv, option):
+    # argparse strips the "--" and stores an empty list, which reached the engine
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.endswith(f"error: argument {option}: expected one argument\n")
+
+
+# An integer flag's text: mostly small, otherwise just under or over Python's
+# 4,300-digit conversion limit or the 2,000-digit base bound, negative, or
+# malformed.
+small_int_texts = st.integers(min_value=-3, max_value=60).map(str)
+int_texts = st.one_of(
+    small_int_texts,
+    small_int_texts,
+    small_int_texts,
+    st.integers(min_value=1, max_value=4400).map(lambda digits: "9" * digits),
+    st.integers(min_value=1995, max_value=2005).map(lambda digits: "1" + "0" * digits),
+    st.integers(min_value=1, max_value=4400).map(lambda digits: "-" + "9" * digits),
+    st.sampled_from(["", "x", "1.5", "0x10", " 7", "1_000", "٣", "-", "+4", "--"]),
+)
+weight_texts = st.one_of(
+    st.lists(int_texts, max_size=6).map(",".join),
+    st.sampled_from([",", ",,1", "1,,2", "a,b"]),
+)
+FLAG_TEXTS = {"n": int_texts, "k": int_texts, "s": int_texts, "weights": weight_texts}
+
+
+@st.composite
+def hostile_case_argv(draw):
+    """case/hodge/hh argv: mostly the base's own parameter flags, one in ten flipped."""
+    base = draw(st.sampled_from([*cycalc.BUILTIN_IDS, "nope"]))
+    own = ("weights",) if base == "wpn" else getattr(FAMILIES.get(base), "param_names", ())
+    argv = [draw(st.sampled_from(["case", "hodge", "hh"])), f"--base={base}"]
+    for name, texts in FLAG_TEXTS.items():
+        if (name in own) != (draw(st.integers(min_value=0, max_value=9)) == 0):
+            argv.append(f"--{name}={draw(texts)}")
+    kinds = st.sampled_from([kind.value for kind in ALL_KINDS] + ["triple"])
+    argv.append("--construction=" + draw(kinds))
+    argv.append("--degree=" + draw(int_texts))
+    argv.append("--format=" + draw(st.sampled_from(["table", "json", "csv"])))
+    return argv
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(hostile_case_argv())
+@example(["case", "--base=pn", "--n=" + "9" * 4300, "--construction=divisor", "--degree=1",
+          "--format=json"])
+@example(["hh", "--base=pn", "--n=" + "9" * 1999, "--construction=cover",
+          "--degree=" + "9" * 1999, "--format=table"])
+@example(["case", "--base=wpn", "--weights=" + ",".join(["9" * 1999] * 3),
+          "--construction=root", "--degree=" + "9" * 1999, "--format=csv"])
+def test_hostile_case_flags_exit_0_1_or_2_without_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert time.perf_counter() - start < 5
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    assert "Traceback" not in err.getvalue()

@@ -162,6 +162,6 @@ def test_tables_are_immutable_and_hashable():
 
 def test_kind_names_round_trip():
     for kind in ALL_KINDS:
-        assert ConstructionKind.from_name(kind.value) is kind
+        assert ConstructionKind(kind.value) is kind
     with pytest.raises(ValueError):
-        ConstructionKind.from_name("triple")
+        ConstructionKind("triple")

@@ -415,7 +415,7 @@ def test_cy_check_cubic_sevenfold():
     pipeline = hh_pipeline(case)
     assert pipeline.check.n_cy == 3
     assert pipeline.check.value == 1
-    assert pipeline.check.passed
+    assert pipeline.check.nonvanishing
 
 
 def test_cy_check_rejects_fractional_case():

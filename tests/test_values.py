@@ -21,7 +21,7 @@ def build(name):
     pipeline = hh_pipeline(analyze(base, DIV, 3))
     return {
         "NormalForm": lambda: NormalForm(1, -2, 3, 1),
-        "Word": lambda: Word(((Generator.SHIFT, 2), (Generator.SERRE, -1))),
+        "Word": lambda: Word(((Generator.COMP_TWIST, 2), (Generator.SERRE, -1))),
         "LefschetzBase": lambda: base,
         "Family": lambda: FAMILIES["pn"],
         "SubstitutionTable": lambda: substitution_table(DIV, 3, base),
