@@ -36,10 +36,10 @@ other fixed entries (its quadric sections behave exactly like those of the
 homogeneous fixed entries) rather than a member of an infinite family here.
 
 A new family is one ``FAMILIES`` row: ``_family`` takes its catalog strings,
-its parameter names, an optional lower bound, a rule from the parameter
-values to the base and a sweep window yielding parameters in ``param_key``
-order, and ``_fixed`` does the same for a parameterless entry.  Only ``wpn``,
-whose parameter list has no fixed length, has its own rules.
+its parameter names (the command line's flags), an optional lower bound,
+rules from the parameter values to the base's numbers and names, and a sweep
+window in ``param_key`` order; ``_fixed`` does the same for a parameterless
+entry.  Only ``wpn``, with a parameter list of any length, has its own rules.
 """
 
 from __future__ import annotations
@@ -61,6 +61,17 @@ if TYPE_CHECKING:
 #: so it then has at most 4,001 digits: Python prints no longer int than 4,300.
 MAX_SIZE_DIGITS = 2_000
 _SIZE_BOUND = 10**MAX_SIZE_DIGITS
+
+#: Most decimal digits of a block rank or of a family parameter: Python prints no longer int.
+MAX_RANK_DIGITS = 4_300
+_RANK_BOUND = 10**MAX_RANK_DIGITS
+
+
+def _check_digits(most: int, bound: int, values: Mapping[str, int]) -> None:
+    """Refuse any of ``values`` of more than ``most`` digits (``bound`` = 10**most)."""
+    for name, value in values.items():
+        if abs(value) >= bound:
+            raise SizeLimitExceeded(f"{name} has more than {most:,} digits; refused")
 
 
 class LefschetzBase(Value):
@@ -88,9 +99,7 @@ class LefschetzBase(Value):
             raise ValidationError(f"rank_b must be >= 1, got {rank_b}")
         if dim_m < 0:
             raise ValidationError(f"dim_m must be >= 0, got {dim_m}")
-        for name, value in (("dim_m", dim_m), ("length_m", length_m)):
-            if value >= _SIZE_BOUND:
-                raise SizeLimitExceeded(f"{name} has more than {MAX_SIZE_DIGITS:,} digits; refused")
+        _check_digits(MAX_SIZE_DIGITS, _SIZE_BOUND, {"dim_m": dim_m, "length_m": length_m})
         self._set(
             id, display_name, dim_m, length_m, rank_b, line_bundle_note,
             omega_is_l_minus_m, tuple(dict(parameters).items()), chi_stable,
@@ -99,11 +108,6 @@ class LefschetzBase(Value):
     def param_key(self) -> tuple[int, ...]:
         """Parameter values in stored order, used as a deterministic sort key."""
         return tuple(v for _, v in self.parameters)
-
-
-#: Most decimal digits of a block rank: Python prints no longer int.
-MAX_RANK_DIGITS = 4_300
-_RANK_BOUND = 10**MAX_RANK_DIGITS
 
 
 def fonarev_rank(k: int, n: int) -> int:
@@ -115,8 +119,9 @@ def fonarev_rank(k: int, n: int) -> int:
     classes of Gr(k,n), so the count is C(n,k)/n.  The test suite checks it
     against a direct enumeration of the diagrams and a row-by-row count.
     C(n,k) is built factor by factor, and a rank over :data:`MAX_RANK_DIGITS`
-    digits is refused as soon as a partial product passes it.
+    digits is refused once a partial product passes it (a longer k or n first).
     """
+    _check_digits(MAX_RANK_DIGITS, _RANK_BOUND, {"k": k, "n": n})
     if not (1 <= k < n):
         raise InvalidParams(f"need 1 <= k < n, got k={k}, n={n}")
     if gcd(k, n) != 1:
@@ -237,15 +242,16 @@ def _family(
     length_formula: str,
     rank_formula: str,
     note: str,
-    base: Callable[..., tuple[str, int, int, int, str]],
+    numbers: Callable[..., tuple[int, int, int]],
+    names: Callable[..., tuple[str, str]],
     window: Callable[[SweepBounds], Iterable[Mapping[str, int]]],
     minimum: int | None = None,
 ) -> Family:
-    """One builtin family: its catalog strings, a rule for its bases, its window.
+    """One builtin family: its catalog strings, rules for its bases, its window.
 
-    ``base`` maps the parameter values, in ``param_names`` order, to the base's
-    display name, dim M, m, rk B and line-bundle note.  ``minimum`` bounds a
-    family's single parameter from below; any further check lives in ``base``.
+    ``numbers`` maps the parameter values, in ``param_names`` order, to dim M, m
+    and rk B, and ``names`` to the display name and note, formatted once the sizes
+    pass.  ``minimum`` bounds a single parameter; ``numbers`` makes other checks.
     """
 
     def make(params: Mapping[str, int]) -> LefschetzBase:
@@ -254,7 +260,9 @@ def _family(
         if minimum is not None and values[0] < minimum:
             p = param_names[0]
             raise InvalidParams(f"{family_id} requires {p} >= {minimum}, got {p}={values[0]}")
-        display, dim_m, m, rank, base_note = base(*values)
+        dim_m, m, rank = numbers(*values)
+        _check_digits(MAX_SIZE_DIGITS, _SIZE_BOUND, {"dim_m": dim_m, "length_m": m})
+        display, base_note = names(*values)
         return LefschetzBase(
             family_id, display, dim_m, m, rank, base_note,
             parameters=tuple(zip(param_names, values)),
@@ -272,7 +280,8 @@ def _fixed(
     """A parameterless family: catalog name, base name, dim M, m, rk B, note."""
     return _family(
         base_id, name, (), str(dim_m), str(m), str(rank), note,
-        lambda: (display, dim_m, m, rank, note),
+        lambda: (dim_m, m, rank),
+        lambda: (display, note),
         lambda bounds: [{}],
     )
 
@@ -282,7 +291,8 @@ FAMILIES: dict[str, Family] = {
     for f in (
         _family(
             "pn", "projective space P^n", ("n",), "n", "n+1", "1", "O(1)",
-            lambda n: (f"P^{n}", n, n + 1, 1, "O(1)"),
+            lambda n: (n, n + 1, 1),
+            lambda n: (f"P^{n}", "O(1)"),
             lambda b: ({"n": n} for n in range(1, b.max_n + 1)),
             minimum=1,
         ),
@@ -300,9 +310,9 @@ FAMILIES: dict[str, Family] = {
         _family(
             "quadric4s2", "smooth quadric of dimension 4s+2", ("s",), "4s+2", "2", "2s+2",
             "O(2s+1)",
+            lambda s: (4 * s + 2, 2, 2 * s + 2),
             lambda s: (
-                f"Q^{4 * s + 2}", 4 * s + 2, 2, 2 * s + 2,
-                f"O({2 * s + 1}); block = O,...,O(2s) plus one spinor bundle",
+                f"Q^{4 * s + 2}", f"O({2 * s + 1}); block = O,...,O(2s) plus one spinor bundle"
             ),
             lambda b: ({"s": s} for s in range(1, b.max_s + 1)),
             minimum=1,
@@ -311,7 +321,8 @@ FAMILIES: dict[str, Family] = {
             "gr", "Grassmannian Gr(k,n), k and n coprime", ("k", "n"), "k(n-k)", "n",
             "C(n,k)/n", "Pluecker O(1)",
             # fonarev_rank validates 1 <= k < n and coprimality
-            lambda k, n: (f"Gr({k},{n})", k * (n - k), n, fonarev_rank(k, n), "Pluecker O(1)"),
+            lambda k, n: (k * (n - k), n, fonarev_rank(k, n)),
+            lambda k, n: (f"Gr({k},{n})", "Pluecker O(1)"),
             # 2 <= k and 2k < n: Gr(1,n) has the numerics of P^(n-1), Gr(n-k,n) those of Gr(k,n)
             lambda b: (
                 {"k": k, "n": n}
@@ -322,8 +333,9 @@ FAMILIES: dict[str, Family] = {
         ),
         _family(
             "ogr2", "orthogonal Grassmannian OGr(2,2n+1)", ("n",), "4n-5", "2n-2", "n", "O(1)",
+            lambda n: (4 * n - 5, 2 * n - 2, n),
             lambda n: (
-                f"OGr(2,{2 * n + 1})", 4 * n - 5, 2 * n - 2, n,
+                f"OGr(2,{2 * n + 1})",
                 "O(1); block = symmetric powers of U^v plus the spinor bundle",
             ),
             lambda b: ({"n": n} for n in range(2, b.max_n + 1)),
@@ -343,10 +355,8 @@ FAMILIES: dict[str, Family] = {
         ),
         _family(
             "igr2", "hyperplane section of Gr(2,2n+1)", ("n",), "4n-3", "2n", "n", "O(1)",
-            lambda n: (
-                f"IGr(2,{2 * n + 1})", 4 * n - 3, 2 * n, n,
-                "O(1); block = O, U^v, ..., S^(n-1) U^v",
-            ),
+            lambda n: (4 * n - 3, 2 * n, n),
+            lambda n: (f"IGr(2,{2 * n + 1})", "O(1); block = O, U^v, ..., S^(n-1) U^v"),
             lambda b: ({"n": n} for n in range(b.igr2_min_n, b.max_n + 1)),
             minimum=2,
         ),
@@ -363,13 +373,20 @@ FAMILIES: dict[str, Family] = {
 
 BUILTIN_IDS: tuple[str, ...] = tuple(FAMILIES)
 
+#: The rows' integer parameter names in row order; ``wpn`` alone takes a list.
+INT_PARAM_NAMES: tuple[str, ...] = tuple(
+    dict.fromkeys(name for f in FAMILIES.values() if f.id != "wpn" for name in f.param_names)
+)
+
 
 def builtin(base_id: str, params: Mapping[str, int] | None = None) -> LefschetzBase:
     """Instantiate a builtin family; raises UnknownBase / InvalidParams."""
     family = FAMILIES.get(base_id)
     if family is None:
         raise UnknownBase(f"unknown base id {base_id!r}; builtins: {', '.join(BUILTIN_IDS)}")
-    return family.make(dict(params or {}))
+    params = dict(params or {})
+    _check_digits(MAX_RANK_DIGITS, _RANK_BOUND, params)
+    return family.make(params)
 
 
 # ---------------------------------------------------------------------------

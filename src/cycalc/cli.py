@@ -21,6 +21,7 @@ from typing import Iterable
 from . import records
 from .catalog import (
     FAMILIES,
+    INT_PARAM_NAMES,
     LefschetzBase,
     builtin,
     load_catalog_file,
@@ -91,13 +92,8 @@ def _user_bases() -> tuple[LefschetzBase, ...]:
 
 
 def _collect_params(args: argparse.Namespace) -> dict[str, int]:
-    params: dict[str, int] = {}
-    if args.n is not None:
-        params["n"] = args.n
-    if args.k is not None:
-        params["k"] = args.k
-    if args.s is not None:
-        params["s"] = args.s
+    given = vars(args)
+    params = {name: given[name] for name in INT_PARAM_NAMES if given[name] is not None}
     if args.weights is not None:
         try:
             weights = [int(w) for w in args.weights.split(",") if w.strip()]
@@ -155,9 +151,8 @@ def _add_format(parser: argparse.ArgumentParser) -> None:
 
 def _add_base_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--base", required=True, help="base id (builtin family or user catalog)")
-    parser.add_argument("--n", type=int, default=None, help="family parameter n")
-    parser.add_argument("--k", type=int, default=None, help="family parameter k")
-    parser.add_argument("--s", type=int, default=None, help="family parameter s")
+    for name in INT_PARAM_NAMES:
+        parser.add_argument(f"--{name}", type=int, default=None, help=f"family parameter {name}")
     parser.add_argument("--weights", default=None, help="comma-separated weights for wpn")
     parser.add_argument(
         "--construction",
@@ -275,13 +270,12 @@ def _cmd_hodge(args: argparse.Namespace) -> int:
     from .hodge import diamond_for_case
 
     case = _analyze_args(args)
-    base, kind = case.base, case.kind
     diamond = diamond_for_case(case)
     if args.format == "table":
-        print(f"{base.display_name}, {kind.value} of degree {args.degree}: dim X = {diamond.dim_x}")
-        for q in range(diamond.dim_x + 1):
-            row = " ".join(str(diamond.h(p, q)) for p in range(diamond.dim_x + 1))
-            print(row)
+        print(f"{case.base.display_name}, {args.construction} of degree {args.degree}: "
+              f"dim X = {diamond.dim_x}")
+        for row in diamond.hodge:
+            print(" ".join(map(str, row)))
         return EXIT_OK
     _emit([records.hodge_record(case, diamond)], args.format)
     return EXIT_OK
@@ -291,10 +285,9 @@ def _cmd_hh(args: argparse.Namespace) -> int:
     from .hodge import hh_pipeline
 
     case = _analyze_args(args)
-    base, kind = case.base, case.kind
     pipeline = hh_pipeline(case)
     if args.format == "table":
-        print(f"{base.display_name}, {kind.value} of degree {args.degree}")
+        print(f"{case.base.display_name}, {args.construction} of degree {args.degree}")
         print(f"dim X = {pipeline.diamond.dim_x}")
         print("middle row:", " ".join(str(v) for v in pipeline.diamond.middle_row()))
         print(f"HH(D(X)):   {pipeline.hh_total}")

@@ -41,11 +41,7 @@ class ConstructionKind(enum.Enum):
     ROOT_STACK = "root"
 
 
-ALL_KINDS: tuple[ConstructionKind, ...] = (
-    ConstructionKind.DIVISOR,
-    ConstructionKind.DOUBLE_COVER,
-    ConstructionKind.ROOT_STACK,
-)
+ALL_KINDS: tuple[ConstructionKind, ...] = tuple(ConstructionKind)
 
 
 class SubstitutionTable(Value):

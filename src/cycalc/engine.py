@@ -310,21 +310,17 @@ def sweep(
     bounds = bounds or SweepBounds()
     if cy_dim is not None:
         cy_dim = Fraction(cy_dim)
-    results = []
-    for case in iter_cases(bounds):
-        if cy_dim is not None or integer_only:
-            if case.error is not None or case.component_is_whole:
-                continue
-            if integer_only and not case.is_integer_cy:
-                continue
-            if cy_dim is not None:
-                if cy_dim.denominator == 1:
-                    if not (case.is_integer_cy and case.cy_dimension == cy_dim):
-                        continue
-                elif case.cy_dimension != cy_dim:
-                    continue
-        results.append(case)
-    return results
+        integer_only = integer_only or cy_dim.denominator == 1
+    filtered = cy_dim is not None or integer_only
+    # an error row has no witness, so it is neither integer nor of a dimension
+    return [
+        case for case in iter_cases(bounds)
+        if not filtered or (
+            not case.component_is_whole
+            and (not integer_only or case.is_integer_cy)
+            and (cy_dim is None or case.cy_dimension == cy_dim)
+        )
+    ]
 
 
 # ---------------------------------------------------------------------------

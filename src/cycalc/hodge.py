@@ -53,7 +53,7 @@ from .errors import (
 from .value import Value
 
 #: Ceiling on the work of one diamond: the Poincare kernel's coefficient
-#: updates plus the (dim + 1)^2 cells of the Hodge table.
+#: updates plus the cells read, of the whole Hodge table or its middle row.
 MAX_HODGE_WORK = 2_000_000
 
 
@@ -167,16 +167,18 @@ class _Hypersurface(NamedTuple):
     degree: int
 
 
-def _check_size(x: _Hypersurface) -> None:
+def _check_size(x: _Hypersurface, table: bool) -> None:
     """Refuse a diamond whose work would exceed :data:`MAX_HODGE_WORK`.
 
-    The work is the table's (dim_x + 1)^2 cells plus the kernel's coefficient
-    updates, i.e. the series length after each factor, summed.  The unit
-    factors come first and the i-th of them leaves a series of length
-    1 + i (D - 2), so they are summed in closed form; the other weights are
-    counted one by one until the ceiling is passed.  Nothing is allocated.
+    The work is the cells read, the table's (dim_x + 1)^2 or, unless ``table``,
+    the middle row's dim_x + 1, plus the kernel's coefficient updates: the
+    series length after each factor, summed.  The unit factors come first and
+    the i-th of them leaves a series of length 1 + i (D - 2), so they are
+    summed in closed form; the other weights are counted one by one until the
+    ceiling is passed.  Nothing is allocated.
     """
-    work = (x.dim_x + 1) ** 2 + x.ones + (x.degree - 2) * x.ones * (x.ones + 1) // 2
+    rows = x.dim_x + 1 if table else 1
+    work = rows * (x.dim_x + 1) + x.ones + (x.degree - 2) * x.ones * (x.ones + 1) // 2
     length = 1 + (x.degree - 2) * x.ones
     for w in x.weights:
         if work > MAX_HODGE_WORK:
@@ -190,7 +192,7 @@ def _check_size(x: _Hypersurface) -> None:
         )
 
 
-def _diamond(x: _Hypersurface) -> HodgeDiamond:
+def _diamond(x: _Hypersurface, table: bool = True) -> HodgeDiamond:
     """The one path to a diamond: validate, size, run the kernel, read off
     the primitive middle row (zero for a linear space, which has no equation).
     """
@@ -198,7 +200,7 @@ def _diamond(x: _Hypersurface) -> HodgeDiamond:
     checked = (1,) * min(x.ones, 1) + x.weights
     if checked:
         _validate_weights(checked, x.degree)  # the size count assumes valid weights
-    _check_size(x)
+    _check_size(x, table)
     primitive = (0,) * (x.dim_x + 1)
     if checked:
         series = jacobian_poincare((1,) * x.ones + x.weights, x.degree)
@@ -257,9 +259,8 @@ def hkr(diamond: HodgeDiamond) -> HHProfile:
     lands in degree 2q - dim.
     """
     n = diamond.dim_x
-    dims = {0: n + 1}
-    for q, value in enumerate(diamond.primitive):
-        dims[2 * q - n] = dims.get(2 * q - n, 0) + value
+    dims = {2 * q - n: value for q, value in enumerate(diamond.primitive) if value}
+    dims[0] = dims.get(0, 0) + n + 1
     return HHProfile(dims)
 
 
@@ -366,9 +367,10 @@ def _realisation(case: CaseResult) -> _Hypersurface:
     return _Hypersurface(n - 1, ones, (), d)
 
 
-def diamond_for_case(case: CaseResult) -> HodgeDiamond:
-    """Diamond of the total space X of a supported case (see :func:`_realisation`)."""
-    return _diamond(_realisation(case))
+def diamond_for_case(case: CaseResult, table: bool = True) -> HodgeDiamond:
+    """Diamond of the total space X of a supported case (see :func:`_realisation`),
+    sized for its whole table or, unless ``table``, the middle row that ``hh`` reads."""
+    return _diamond(_realisation(case), table)
 
 
 class HHPipelineResult(Value):
@@ -397,7 +399,7 @@ def hh_pipeline(case: CaseResult) -> HHPipelineResult:
             f"weights {','.join(map(str, weights))} are not pairwise coprime; "
             "the twisted sectors of the stacky locus are not modelled"
         )
-    diamond = diamond_for_case(case)
+    diamond = diamond_for_case(case, table=False)
     hh_x = hkr(diamond)
     hh_a = hh_component(hh_x, case.base, case.d)
     check = cy_hh_check(case, hh_a) if case.is_integer_cy else None

@@ -51,14 +51,6 @@ CASE_FIELDS = (
 )
 
 
-def _fraction_str(value) -> str | None:
-    if value is None:
-        return None
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
 def _case_header(case: CaseResult) -> dict:
     """The fields that open every record about one case."""
     return {
@@ -88,7 +80,7 @@ def case_record(case: CaseResult) -> dict:
         "serre_power": f"S^{case.power} = {nf}" if nf else None,
         "witness_p": witness.p if witness else None,
         "witness_q": witness.q if witness else None,
-        "cy_dimension": _fraction_str(case.cy_dimension),
+        "cy_dimension": str(case.cy_dimension) if witness else None,
         "is_integer_cy": case.is_integer_cy,
         "component_is_whole": case.component_is_whole,
         "dim_x": case.dim_x,
@@ -117,7 +109,7 @@ def hh_record(case: CaseResult, pipeline: HHPipelineResult) -> dict:
         "middle_row": list(pipeline.diamond.middle_row()),
         "hh_total": {str(k): v for k, v in pipeline.hh_total.dims.items()},
         "hh_component": {str(k): v for k, v in pipeline.hh_component.dims.items()},
-        "cy_dimension": _fraction_str(case.cy_dimension),
+        "cy_dimension": str(case.cy_dimension) if case.witness else None,
         "is_integer_cy": case.is_integer_cy,
         "check_n_cy": check.n_cy if check else None,
         "check_value": check.value if check else None,

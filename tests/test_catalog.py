@@ -526,6 +526,33 @@ def test_every_builtin_base_is_built_under_the_size_bound():
         builtin("wpn", {"w0": 1, "w1": 10**2000 - 1})
 
 
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        (lambda: builtin("pn", {"n": 10**5000}), "n"),
+        (lambda: builtin("pn", {"n": -(10**5000)}), "n"),
+        (lambda: builtin("wpn", {"w0": 1, "w1": 10**5000}), "w1"),
+        (lambda: builtin("wpn", {"w0": -(10**5000), "w1": 1}), "w0"),
+        (lambda: builtin("gr", {"k": 10**5000, "n": 3}), "k"),
+        (lambda: fonarev_rank(2, 10**5000 + 1), "n"),
+        (lambda: fonarev_rank(10**4300, 3), "k"),
+    ],
+    ids=["pn", "negative pn", "wpn", "negative wpn", "gr", "fonarev n", "fonarev k"],
+)
+def test_a_parameter_python_cannot_print_is_refused_before_a_message_prints_it(make, name):
+    with pytest.raises(SizeLimitExceeded) as err:
+        make()
+    assert str(err.value) == f"{name} has more than 4,300 digits; refused"
+
+
+def test_the_longest_printable_parameter_keeps_its_message():
+    longest = 10**4300 - 1
+    with pytest.raises(SizeLimitExceeded, match="^dim_m has more than 2,000 digits; refused$"):
+        builtin("igr2", {"n": longest})  # IGr(2, 2n+1) could not print 2n+1
+    with pytest.raises(InvalidParams, match=f"^pn requires n >= 1, got n=-{longest}$"):
+        builtin("pn", {"n": -longest})
+
+
 # A JSON value as text.  Integers are written out digit by digit, because
 # json.dumps cannot print one of more than 4,300 digits either.
 json_ints = st.one_of(

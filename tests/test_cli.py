@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, formats, determinism, user catalogs."""
 
+import argparse
 import contextlib
 import csv
 import hashlib
@@ -8,8 +9,10 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -919,6 +922,196 @@ def test_hostile_case_flags_exit_0_1_or_2_without_traceback(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     assert time.perf_counter() - start < 5
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    assert "Traceback" not in err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# the command layer keeps no second copy of the family rows
+# ---------------------------------------------------------------------------
+
+
+def subcommand_options(command):
+    """The option strings of one subcommand, as its parser declares them."""
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        action.option_strings[0]: action
+        for action in sub.choices[command]._actions
+        if action.option_strings and action.dest != "help"
+    }
+
+
+@pytest.mark.parametrize("command", ["case", "hodge", "hh"])
+def test_every_integer_family_parameter_is_a_flag(command):
+    options = subcommand_options(command)
+    for family in FAMILIES.values():
+        for name in family.param_names:
+            if family.id != "wpn":
+                assert options[f"--{name}"].type is int, (family.id, name)
+    assert options["--weights"].type is None  # wpn's one list-valued flag
+
+
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+def test_hh_is_sized_by_the_middle_row_it_reads(capsys, fmt):
+    # dim X = 1499: 1500 cells of the middle row, 1500^2 of the table hodge prints
+    argv = ("--base", "pn", "--n", "1500", "--construction", "divisor", "--degree", "1")
+    code, out, err = run(capsys, "hh", *argv, "--format", fmt)
+    assert (code, err) == (0, "")
+    assert "1500" in out
+    code, out, err = run(capsys, "hodge", *argv, "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: a dimension-1499 diamond of degree 1 needs more than 2,000,000 coefficient "
+        "updates and table cells; refused\n"
+    )
+    code, out, err = run(capsys, "hh", *argv[:3], "10000000", *argv[4:], "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: a dimension-9999999 diamond of degree 1 needs more than ")
+
+
+@pytest.mark.parametrize(
+    "base, flag", [("quadric4s2", "--s"), ("ogr2", "--n"), ("igr2", "--n")]
+)
+def test_a_name_that_would_print_past_the_int_limit_is_refused_first(capsys, base, flag):
+    # 4s+2 and 2n+1 have 4,301 digits: the display name could not print them
+    code, out, err = run(
+        capsys, "case", "--base", base, flag, "9" * 4300, "--construction", "divisor",
+        "--degree", "1",
+    )
+    assert (code, out, err) == (2, "", "error: dim_m has more than 2,000 digits; refused\n")
+
+
+def mostly(valid, *hostile):
+    """``valid`` nine times in ten, otherwise one of the ``hostile`` strategies."""
+    return st.integers(min_value=0, max_value=9).flatmap(
+        lambda roll: valid if roll else st.one_of(*hostile)
+    )
+
+
+def nines(fewest, most):
+    return st.integers(min_value=fewest, max_value=most).map(lambda digits: "9" * digits)
+
+
+def small(low, high):
+    return st.integers(min_value=low, max_value=high).map(str)
+
+
+negative_huge = nines(1, 4400).map(lambda text: "-" + text)
+malformed = st.sampled_from(["", "x", "1.5", "0x10", "+4", " 9", "٣", "1e3"])
+catalog_ids = ("mine", "yours")
+
+# Windows that still take seconds are left out of the generated argv, by name:
+# - a --max-n from 21 to 99,998: admitted windows of up to 3,000,000 cases,
+#   analysed case by case for seconds to minutes;
+# - a --max-s above 20: each s is one base of two cases per kind, so a huge
+#   --max-s takes seconds to refuse (the counting walk builds every base);
+# - a --max-weight-sum above 12, the default 30 included: weighted windows up
+#   to sum 30 run for seconds to minutes, and a larger sum takes seconds to
+#   refuse;
+# - a user catalog base whose m lies between 60 and 9,999,999: its m cases per
+#   kind are analysed one by one.
+# So sweep and verify always get the three window flags; the default windows
+# are run by the digest tests above.
+OPTION_TEXTS = {
+    "max_n": mostly(small(-3, 20), nines(5, 4400), negative_huge, malformed),
+    "max_s": mostly(small(-3, 20), negative_huge, malformed),
+    "max_weight_sum": mostly(small(-3, 12), negative_huge, malformed),
+    "families": st.lists(
+        mostly(
+            st.sampled_from([*cycalc.BUILTIN_IDS, *catalog_ids]),
+            st.sampled_from(["nope", "", " ", "PN"]),
+        ),
+        max_size=4,
+    ).map(",".join),
+    "kinds": st.lists(
+        mostly(st.sampled_from([kind.value for kind in ALL_KINDS]),
+               st.sampled_from(["triple", "", "Divisor"])),
+        max_size=4,
+    ).map(",".join),
+    "cy_dim": mostly(
+        st.one_of(
+            small(-20, 20),
+            st.tuples(st.integers(-40, 40), st.integers(1, 6)).map(lambda pq: "%d/%d" % pq),
+        ),
+        st.integers(min_value=4000, max_value=4400).map(lambda digits: "9" * digits + "/7"),
+        st.sampled_from(["", "x", "/", "3/", "1/0", "1.5", "4/3/2", "٣", " 2"]),
+    ),
+    "format": mostly(st.sampled_from(["table", "json", "csv"]), st.just("xml")),
+}
+WINDOW_FLAGS = ("--max-n", "--max-s", "--max-weight-sum")
+# A catalog field's JSON text: mostly valid, otherwise of the wrong type or size.
+CATALOG_FIELDS = {
+    "display_name": mostly(st.just('"a base"'), st.just("null")),
+    "dim_m": mostly(small(0, 30), nines(1999, 2001), st.sampled_from(["-1", "true", "1.5"])),
+    "length_m": mostly(small(1, 60), nines(7, 2001), st.sampled_from(["0", "false", "[]"])),
+    "rank_b": mostly(small(1, 60), st.sampled_from(["0", "9" * 4300, "9" * 4301, "null"])),
+    "line_bundle_note": mostly(st.just('"O(1)"'), st.just("{}")),
+    "omega_is_l_minus_m": mostly(st.sampled_from(["true", "false"]), st.just("1")),
+    "parameters": mostly(
+        st.sampled_from(["{}", '{"n": 5}']), st.sampled_from(['{"n": true}', "[]"])
+    ),
+    "chi_stable": mostly(st.sampled_from(["true", "false"]), st.just('"yes"')),
+}
+
+
+@st.composite
+def catalog_texts(draw):
+    """A CYCALC_CATALOG document of up to two entries; a field may be hostile or missing."""
+    entries = []
+    for base_id in catalog_ids[: draw(st.integers(min_value=0, max_value=2))]:
+        id_text = draw(mostly(st.just(json.dumps(base_id)), st.sampled_from(['"pn"', "7"])))
+        fields = [f'"id": {id_text}']
+        fields += [
+            f'"{key}": {draw(texts)}'
+            for key, texts in CATALOG_FIELDS.items()
+            if draw(st.integers(min_value=0, max_value=29))
+        ]
+        entries.append("{" + ", ".join(fields) + "}")
+    return draw(mostly(st.just("[" + ", ".join(entries) + "]"), st.sampled_from(["{}", "["])))
+
+
+@st.composite
+def window_argv(draw):
+    """sweep/verify/catalog argv built from the subcommand's own options."""
+    command = draw(st.sampled_from(["sweep", "verify", "catalog"]))
+    argv = [command]
+    for option, action in subcommand_options(command).items():
+        if option not in WINDOW_FLAGS and draw(st.integers(min_value=0, max_value=3)) == 0:
+            continue
+        if action.nargs == 0:
+            argv.append(option)
+        else:
+            argv.append(f"{option}={draw(OPTION_TEXTS[action.dest])}")
+    return argv
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(window_argv(), st.one_of(st.none(), catalog_texts()))
+@example(["sweep", "--families=mine", "--cy-dim=2", "--format=csv"],
+         '[{"id": "mine", "display_name": "m", "dim_m": 5, "length_m": 6, "rank_b": 1, '
+         '"line_bundle_note": "O(1)", "omega_is_l_minus_m": true, "parameters": {}}]')
+@example(["verify", "--families=yours", "--kinds=root", "--max-weight-sum=0"],
+         '[{"id": "yours", "display_name": "y", "dim_m": 3, "length_m": ' + "9" * 1999 + ', '
+         '"rank_b": 1, "line_bundle_note": "O(1)", "omega_is_l_minus_m": true, '
+         '"parameters": {}}]')
+@example(["sweep", "--max-n=" + "9" * 4300, "--cy-dim=" + "9" * 4301 + "/7"], None)
+@example(["catalog", "--format=csv"], "[")
+def test_hostile_window_flags_and_catalogs_exit_0_1_or_2_without_traceback(argv, catalog):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
+        os.environ.pop("CYCALC_CATALOG", None)
+        if catalog is not None:
+            path = Path(tmp) / "catalog.json"
+            path.write_text(catalog, encoding="utf-8")
+            os.environ["CYCALC_CATALOG"] = str(path)
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert time.perf_counter() - start < 5
     assert code in (0, 1, 2)
     if code == 2:
         assert out.getvalue() == ""

@@ -295,6 +295,19 @@ def test_size_ceiling_counts_table_cells_and_series_updates(monkeypatch):
         pn_diamond(5, 3)
 
 
+def test_hh_is_sized_by_the_middle_row_it_reads(monkeypatch):
+    # cubic fourfold: the 5 cells of the middle row, not the 25 of the table
+    case = analyze(builtin("pn", {"n": 5}), DIV, 3)
+    work = 5 + sum(range(2, 8))
+    monkeypatch.setattr(hodge, "MAX_HODGE_WORK", work)
+    assert hh_pipeline(case).diamond.primitive == (0, 1, 20, 1, 0)
+    with pytest.raises(SizeLimitExceeded):
+        diamond_for_case(case)
+    monkeypatch.setattr(hodge, "MAX_HODGE_WORK", work - 1)
+    with pytest.raises(SizeLimitExceeded):
+        hh_pipeline(case)
+
+
 def test_size_ceiling_refuses_exactly_above_the_work_of_each_factor(monkeypatch):
     # the unit factors are summed in closed form; hodge_work adds them one by one
     cases = [

@@ -7,7 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cycalc import cli, records
-from cycalc.catalog import builtin
+from cycalc.catalog import LefschetzBase, builtin
 from cycalc.constructions import ConstructionKind
 from cycalc.engine import SweepBounds, analyze, sweep
 from reference import json_payload
@@ -50,6 +50,16 @@ def test_json_of_sweep_records_equals_the_one_shot_encoder():
 def test_case_record_fields_are_case_fields():
     case = analyze(builtin("pn", {"n": 5}), ConstructionKind.DIVISOR, 3)
     assert tuple(records.case_record(case)) == records.CASE_FIELDS
+
+
+def test_error_row_fields_are_case_fields():
+    # a key added to only one of the two would silently drop out of CSV
+    flat = LefschetzBase("flat", "flat", 3, 4, 1, "O(1)", omega_is_l_minus_m=False)
+    case, *_ = sweep(SweepBounds(families=("flat",), extra_bases=(flat,)))
+    assert case.error is not None
+    row = records.case_record(case)
+    assert tuple(row) == records.CASE_FIELDS
+    assert row["cy_dimension"] is None
 
 
 def test_csv_and_table_take_any_iterable():

@@ -241,7 +241,8 @@ def test_a_new_family_is_one_row_and_sweeps_in_order(monkeypatch):
     # P^n x P^n with L = O(1,1): the p3xp3 entry is its n = 3 member
     row = _family(
         "pnxpn", "product P^n x P^n", ("n",), "2n", "n+1", "n+1", "O(1,1)",
-        lambda n: (f"P^{n} x P^{n}", 2 * n, n + 1, n + 1, "O(1,1)"),
+        lambda n: (2 * n, n + 1, n + 1),
+        lambda n: (f"P^{n} x P^{n}", "O(1,1)"),
         lambda bounds: ({"n": n} for n in range(1, bounds.max_n + 1)),
         minimum=1,
     )
