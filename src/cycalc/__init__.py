@@ -11,72 +11,34 @@ predictions for projective-space cases through Hodge theory.
 
 import importlib
 
-from .autoeq import Generator, NormalForm, Word, resolve
-from .catalog import BUILTIN_IDS, LefschetzBase, builtin, fonarev_rank, load_catalog_file
-from .constructions import ALL_KINDS, ConstructionKind, SubstitutionTable, substitution_table
-from .engine import (
-    CaseResult,
-    FractionalCYWitness,
-    SweepBounds,
-    analyze,
-    closed_form,
-    extract_witness,
-    serre_power,
-    sweep,
-    verify_cross_check,
-)
-
-#: Names served from :mod:`cycalc.hodge`, which is imported on first use
-#: (PEP 562) so that commands without a Hodge query do not load it.
-_HODGE_NAMES = frozenset({
-    "HHProfile",
-    "HodgeDiamond",
-    "PoincareSeries",
-    "cy_hh_check",
-    "hh_component",
-    "hh_pipeline",
-    "hkr",
-    "jacobian_poincare",
-})
+#: The public names, by the submodule that defines them.  Nothing is imported
+#: here: a name or a submodule (errors and value included) loads its module on
+#: first use (PEP 562), so each command loads only the layers it runs.
+_EXPORTS = {
+    "autoeq": ("Generator", "NormalForm", "Word", "resolve"),
+    "catalog": ("BUILTIN_IDS", "LefschetzBase", "builtin", "fonarev_rank", "load_catalog_file"),
+    "constructions": ("ALL_KINDS", "ConstructionKind", "SubstitutionTable", "substitution_table"),
+    "engine": (
+        "CaseResult", "FractionalCYWitness", "SweepBounds", "analyze", "closed_form",
+        "extract_witness", "serre_power", "sweep", "verify_cross_check",
+    ),
+    "errors": (),
+    "hodge": (
+        "HHProfile", "HodgeDiamond", "PoincareSeries", "cy_hh_check", "hh_component",
+        "hh_pipeline", "hkr", "jacobian_poincare",
+    ),
+    "value": (),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALL_KINDS",
-    "BUILTIN_IDS",
-    "CaseResult",
-    "ConstructionKind",
-    "FractionalCYWitness",
-    "Generator",
-    "HHProfile",
-    "HodgeDiamond",
-    "LefschetzBase",
-    "NormalForm",
-    "PoincareSeries",
-    "SubstitutionTable",
-    "SweepBounds",
-    "Word",
-    "analyze",
-    "builtin",
-    "closed_form",
-    "cy_hh_check",
-    "extract_witness",
-    "fonarev_rank",
-    "hh_component",
-    "hh_pipeline",
-    "hkr",
-    "jacobian_poincare",
-    "load_catalog_file",
-    "resolve",
-    "serre_power",
-    "substitution_table",
-    "sweep",
-    "verify_cross_check",
-]
+__all__ = sorted(_HOME)
 
 
 def __getattr__(name: str):
-    if name == "hodge" or name in _HODGE_NAMES:
-        hodge = importlib.import_module(".hodge", __name__)
-        return hodge if name == "hodge" else getattr(hodge, name)
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
+    if name in _HOME:
+        return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

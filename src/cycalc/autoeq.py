@@ -29,6 +29,7 @@ import enum
 from types import MappingProxyType
 from typing import Mapping
 
+from .errors import UnresolvedGenerator
 from .value import Value
 
 
@@ -108,8 +109,6 @@ def resolve(word: Word, table: Mapping[Generator, NormalForm] = MappingProxyType
     Serre functor and their composites).  Raises
     :class:`~cycalc.errors.UnresolvedGenerator` when a factor has no entry.
     """
-    from .errors import UnresolvedGenerator
-
     result = IDENTITY
     for gen, exponent in word.factors:
         form = table.get(gen)

@@ -42,6 +42,10 @@ EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 EXIT_INTERNAL = 3
 
+#: Cells of the ``hh`` middle row joined into one string at a time, so that a
+#: row of millions of cells is never held as one string.
+_ROW_CHUNK = 4096
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
@@ -289,7 +293,11 @@ def _cmd_hh(args: argparse.Namespace) -> int:
     if args.format == "table":
         print(f"{case.base.display_name}, {args.construction} of degree {args.degree}")
         print(f"dim X = {pipeline.diamond.dim_x}")
-        print("middle row:", " ".join(str(v) for v in pipeline.diamond.middle_row()))
+        row = pipeline.diamond.middle_row()
+        sys.stdout.write("middle row:")
+        for start in range(0, len(row), _ROW_CHUNK):
+            sys.stdout.write(" " + " ".join(map(str, row[start:start + _ROW_CHUNK])))
+        print()
         print(f"HH(D(X)):   {pipeline.hh_total}")
         print(f"HH(comp.):  {pipeline.hh_component}")
         check = pipeline.check

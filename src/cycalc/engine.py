@@ -349,30 +349,26 @@ class VerifyReport(Value):
 def verify_cross_check(bounds: SweepBounds | None = None) -> VerifyReport:
     """Compare the word-algebra path against the closed forms everywhere.
 
-    The same pass collects into ``negatives`` the proper integer components
-    whose dimension is negative.
+    It reads the case stream that :func:`sweep` filters.  The same pass
+    collects into ``negatives`` the proper integer components whose dimension
+    is negative.
     """
     if bounds is None:
         bounds = SweepBounds(kinds=ALL_KINDS)
     total = compared = 0
     mismatches = []
     negatives = []
-    for base, kind, d in _window(bounds):
+    for case in iter_cases(bounds):
         total += 1
         try:
-            via_formula = closed_form(base, kind, d)
+            via_formula = closed_form(case.base, case.kind, case.d)
         except CycalcError:
             continue  # the construction does not exist on this base
         compared += 1
-        try:
-            case = analyze(base, kind, d)
-        except CycalcError:
-            # the case is valid, so a failure of the word path is a
-            # disagreement (e.g. a line twist left in the normal form)
-            mismatches.append((base.id, base.param_key(), kind.value, d))
-            continue
+        # the case is valid, so an error row of the word path is a
+        # disagreement too (e.g. a line twist left in the normal form)
         if case.serre_power_nf != via_formula:
-            mismatches.append((base.id, base.param_key(), kind.value, d))
+            mismatches.append((case.base.id, case.base.param_key(), case.kind.value, case.d))
         if case.is_integer_cy and not case.component_is_whole and case.witness.p < 0:
             negatives.append(case)
     return VerifyReport(

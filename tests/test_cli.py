@@ -317,6 +317,25 @@ def test_verify_that_compares_no_case_of_its_window_exit_2(tmp_path, capsys, mon
     )
 
 
+def test_verify_skips_the_cases_a_user_base_cannot_hold(tmp_path, monkeypatch):
+    from cycalc.engine import SweepBounds, verify_cross_check
+
+    record = catalog_record(builtin("pn", {"n": 3}))
+    record.update(id="flat", omega_is_l_minus_m=False)
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps([record]), encoding="utf-8")
+    monkeypatch.setenv("CYCALC_CATALOG", str(path))
+    mixed = SweepBounds(
+        max_n=4, kinds=ALL_KINDS, families=("flat", "pn"), extra_bases=cli._user_bases()
+    )
+    report = verify_cross_check(mixed)
+    # flat's 12 cases do not exist on it; pn n <= 4 has 2 + 3 + 4 + 5 cases per kind
+    assert (report.cases, report.compared, report.mismatches) == (54, 42, ())
+    assert [(c.base.id, c.base.param_key(), c.kind.value, c.d) for c in report.negatives] == [
+        ("pn", (n,), "divisor", 1) for n in range(1, 5)
+    ]
+
+
 def test_family_filter_accepts_user_catalog_ids(tmp_path, capsys, monkeypatch):
     record = catalog_record(builtin("pn", {"n": 5}))
     record["id"] = "mybase"
@@ -971,6 +990,38 @@ def test_hh_is_sized_by_the_middle_row_it_reads(capsys, fmt):
     code, out, err = run(capsys, "hh", *argv[:3], "10000000", *argv[4:], "--format", fmt)
     assert (code, out) == (2, "")
     assert err.startswith("error: a dimension-9999999 diamond of degree 1 needs more than ")
+
+
+def test_hh_writes_a_long_middle_row_without_holding_it_as_strings():
+    import tracemalloc
+
+    class Chunks(io.TextIOBase):
+        def __init__(self):
+            self.parts = []
+
+        def writable(self):
+            return True
+
+        def write(self, text):
+            self.parts.append(text)
+            return len(text)
+
+    # dim X = 299,999: a middle row of 300,000 zeros, 600,000 bytes printed
+    sink = Chunks()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = cli.main(
+                ["hh", "--base", "pn", "--n", "300000", "--construction", "divisor"]
+                + ["--degree", "1"]
+            )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert "".join(sink.parts).splitlines()[2] == "middle row: " + " ".join("0" * 300_000)
+    # a str for every cell of the row at once peaks near 22 MB; chunks stay near 5 MB
+    assert peak < 10 * 2**20
 
 
 @pytest.mark.parametrize(

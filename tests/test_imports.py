@@ -151,3 +151,42 @@ def test_package_serves_hodge_names_on_first_use():
 def test_unknown_package_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         cycalc.no_such_name
+
+
+def test_bare_import_loads_no_cycalc_module():
+    out, loaded = fresh("import cycalc\nprint(sorted(m for m in sys.modules if 'cycalc.' in m))")
+    assert (out, loaded) == (b"[]\n", [])
+
+
+PUBLIC_NAMES = [
+    "ALL_KINDS", "BUILTIN_IDS", "CaseResult", "ConstructionKind", "FractionalCYWitness",
+    "Generator", "HHProfile", "HodgeDiamond", "LefschetzBase", "NormalForm", "PoincareSeries",
+    "SubstitutionTable", "SweepBounds", "Word", "analyze", "builtin", "closed_form",
+    "cy_hh_check", "extract_witness", "fonarev_rank", "hh_component", "hh_pipeline", "hkr",
+    "jacobian_poincare", "load_catalog_file", "resolve", "serre_power", "substitution_table",
+    "sweep", "verify_cross_check",
+]
+
+
+def test_every_public_name_is_the_object_its_module_defines():
+    assert cycalc.__all__ == PUBLIC_NAMES
+    out, _ = fresh(
+        "import importlib\n"
+        "import cycalc\n"
+        "for module, names in cycalc._EXPORTS.items():\n"
+        "    home = importlib.import_module('cycalc.' + module)\n"
+        "    for name in names:\n"
+        "        obj = getattr(cycalc, name)\n"
+        "        assert obj is vars(home)[name], name\n"
+        "        assert getattr(obj, '__module__', home.__name__) == home.__name__, name\n"
+        "        print(name)\n"
+    )
+    assert sorted(out.decode().split()) == PUBLIC_NAMES
+
+
+@pytest.mark.parametrize(
+    "module", ["autoeq", "catalog", "constructions", "engine", "errors", "value", "hodge"]
+)
+def test_each_submodule_resolves_after_a_bare_import(module):
+    out, _ = fresh(f"import cycalc\nprint(cycalc.{module}.__name__)")
+    assert out == f"cycalc.{module}\n".encode()
