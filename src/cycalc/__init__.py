@@ -15,7 +15,7 @@ import importlib
 #: here: a name or a submodule (errors and value included) loads its module on
 #: first use (PEP 562), so each command loads only the layers it runs.
 _EXPORTS = {
-    "autoeq": ("Generator", "NormalForm", "Word", "resolve"),
+    "autoeq": ("Generator", "NormalForm", "resolve"),
     "catalog": ("BUILTIN_IDS", "LefschetzBase", "builtin", "fonarev_rank", "load_catalog_file"),
     "constructions": ("ALL_KINDS", "ConstructionKind", "SubstitutionTable", "substitution_table"),
     "engine": (

@@ -16,18 +16,18 @@ Two layers are provided:
 
 * :class:`NormalForm` - an element of the resolved group, with exact integer
   components (Python ints never overflow, so parameter sweeps are safe).
-* :class:`Word` - a formal product of symbolic generators with integer
-  exponents.  Every generator is symbolic: spherical twists, Serre functors
-  and the two standard composites have no meaning until a geometric
-  construction supplies a substitution table; :func:`resolve` then collapses
-  a word to a normal form.
+* a word - a formal product of symbolic generators with integer exponents,
+  written as a sequence of (generator, exponent) pairs.  Every generator is
+  symbolic: spherical twists, Serre functors and the two standard composites
+  have no meaning until a geometric construction supplies a substitution
+  table; :func:`resolve` then collapses a word to a normal form.
 """
 
 from __future__ import annotations
 
 import enum
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .errors import UnresolvedGenerator
 from .value import Value
@@ -88,29 +88,20 @@ class NormalForm(Value):
 IDENTITY = NormalForm()
 
 
-class Word(Value):
-    """Formal product of generator powers; the empty word is the identity.
+def resolve(
+    factors: Iterable[tuple[Generator, int]],
+    table: Mapping[Generator, NormalForm] = MappingProxyType({}),
+) -> NormalForm:
+    """Collapse a word, given as (generator, exponent) pairs, to its normal form.
 
-    Exponents may be any integer.  Because every generator resolves into the
-    same abelian group, the factor order carries no information, and
-    :func:`resolve` is invariant under permutations of ``factors``.
-    """
-
-    __slots__ = ("factors",)
-
-    def __init__(self, factors: tuple[tuple[Generator, int], ...] = ()) -> None:
-        self._set(factors)
-
-
-def resolve(word: Word, table: Mapping[Generator, NormalForm] = MappingProxyType({})) -> NormalForm:
-    """Collapse a word to its normal form.
-
-    ``table`` supplies the normal form of each generator (spherical twist,
-    Serre functor and their composites).  Raises
+    No pairs make the identity, and exponents may be any integer.  ``table``
+    supplies the normal form of each generator (spherical twist, Serre functor
+    and their composites).  Every generator resolves into the same abelian
+    group, so the result does not depend on the order of ``factors``.  Raises
     :class:`~cycalc.errors.UnresolvedGenerator` when a factor has no entry.
     """
     result = IDENTITY
-    for gen, exponent in word.factors:
+    for gen, exponent in factors:
         form = table.get(gen)
         if form is None:
             raise UnresolvedGenerator(f"generator {gen.value!r} has no substitution entry")

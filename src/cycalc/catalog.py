@@ -357,7 +357,10 @@ FAMILIES: dict[str, Family] = {
             "igr2", "hyperplane section of Gr(2,2n+1)", ("n",), "4n-3", "2n", "n", "O(1)",
             lambda n: (4 * n - 3, 2 * n, n),
             lambda n: (f"IGr(2,{2 * n + 1})", "O(1); block = O, U^v, ..., S^(n-1) U^v"),
-            lambda b: ({"n": n} for n in range(b.igr2_min_n, b.max_n + 1)),
+            # n >= 3: quadric sections of IGr(2,5) are the fourfold members of the
+            # double-cover-of-Gr(2,5) series the sweeps already hold, so the window
+            # keeps one representative per family; builtin() still takes n = 2
+            lambda b: ({"n": n} for n in range(3, b.max_n + 1)),
             minimum=2,
         ),
         _fixed(
@@ -436,7 +439,7 @@ def base_from_record(record: object) -> LefschetzBase:
 
 
 def load_catalog_file(path: str | Path) -> list[LefschetzBase]:
-    """Load and validate a user catalog; duplicate ids are rejected."""
+    """Load and validate a user catalog; duplicate and builtin ids are rejected."""
     import json
     from pathlib import Path
 
@@ -464,16 +467,8 @@ def load_catalog_file(path: str | Path) -> list[LefschetzBase]:
             raise ValidationError(f"duplicate catalog id {base.id!r}")
         seen.add(base.id)
         bases.append(base)
-    return bases
-
-
-def merge_user_catalog(user_bases: Iterable[LefschetzBase]) -> list[LefschetzBase]:
-    """Validate user bases against builtin ids; collisions are errors."""
-    merged = []
-    for base in user_bases:
+    # after the loop, so a file's first schema or duplicate fault is reported first
+    for base in bases:
         if base.id in FAMILIES:
-            raise ValidationError(
-                f"catalog id {base.id!r} collides with a builtin family"
-            )
-        merged.append(base)
-    return merged
+            raise ValidationError(f"catalog id {base.id!r} collides with a builtin family")
+    return bases

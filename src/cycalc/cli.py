@@ -25,7 +25,6 @@ from .catalog import (
     LefschetzBase,
     builtin,
     load_catalog_file,
-    merge_user_catalog,
 )
 from .constructions import ALL_KINDS, ConstructionKind
 from .engine import (
@@ -41,10 +40,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 EXIT_INTERNAL = 3
-
-#: Cells of the ``hh`` middle row joined into one string at a time, so that a
-#: row of millions of cells is never held as one string.
-_ROW_CHUNK = 4096
 
 
 class _Parser(argparse.ArgumentParser):
@@ -92,7 +87,7 @@ def _user_bases() -> tuple[LefschetzBase, ...]:
     path = os.environ.get("CYCALC_CATALOG")
     if not path:
         return ()
-    return tuple(merge_user_catalog(load_catalog_file(path)))
+    return tuple(load_catalog_file(path))
 
 
 def _collect_params(args: argparse.Namespace) -> dict[str, int]:
@@ -295,8 +290,8 @@ def _cmd_hh(args: argparse.Namespace) -> int:
         print(f"dim X = {pipeline.diamond.dim_x}")
         row = pipeline.diamond.middle_row()
         sys.stdout.write("middle row:")
-        for start in range(0, len(row), _ROW_CHUNK):
-            sys.stdout.write(" " + " ".join(map(str, row[start:start + _ROW_CHUNK])))
+        for start in range(0, len(row), records.ROW_CHUNK):
+            sys.stdout.write(" " + " ".join(map(str, row[start:start + records.ROW_CHUNK])))
         print()
         print(f"HH(D(X)):   {pipeline.hh_total}")
         print(f"HH(comp.):  {pipeline.hh_component}")

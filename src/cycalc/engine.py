@@ -33,7 +33,7 @@ from math import gcd
 from operator import attrgetter
 from typing import Iterator
 
-from .autoeq import Generator, NormalForm, Word, resolve
+from .autoeq import Generator, NormalForm, resolve
 from .catalog import FAMILIES, LefschetzBase, builtin
 from .constructions import ALL_KINDS, ConstructionKind, check_case, substitution_table
 from .errors import (
@@ -104,13 +104,8 @@ def serre_power(base: LefschetzBase, kind: ConstructionKind, d: int) -> NormalFo
     m = base.length_m
     c = gcd(d, m)
     table = substitution_table(kind, d, base)
-    word = Word(
-        (
-            (Generator.COMP_TWIST, -(m // c)),
-            (Generator.SERRE_TWIST, d // c),
-        )
-    )
-    return resolve(word, table.entries)
+    factors = ((Generator.COMP_TWIST, -(m // c)), (Generator.SERRE_TWIST, d // c))
+    return resolve(factors, table.entries)
 
 
 def closed_form(base: LefschetzBase, kind: ConstructionKind, d: int) -> NormalForm:
@@ -181,13 +176,6 @@ def analyze(base: LefschetzBase, kind: ConstructionKind, d: int) -> CaseResult:
 # Sweeps
 # ---------------------------------------------------------------------------
 
-#: Sweep floor for the hyperplane-section family.  Quadric sections of
-#: IGr(2,5) are the fourfold members of the same double-cover-of-Gr(2,5)
-#: series already represented in the catalog sweeps; starting at n = 3 keeps
-#: the builtin enumeration to one representative per family.  igr2 with n = 2
-#: remains available through explicit analysis and custom bounds.
-IGR2_SWEEP_MIN_N = 3
-
 #: Ceiling on the cases of one sweep or verify window: the sum over its bases
 #: of m times the number of kinds.  The largest default window,
 #: ``verify --include-weighted`` (weight sum <= 30, all three kinds), holds
@@ -211,7 +199,7 @@ class SweepBounds(Value):
 
     __slots__ = (
         "max_n", "max_s", "max_weight_sum", "include_weighted", "kinds", "families",
-        "igr2_min_n", "extra_bases",
+        "extra_bases",
     )
 
     def __init__(
@@ -220,12 +208,12 @@ class SweepBounds(Value):
         kinds: tuple[ConstructionKind, ...] = (
             ConstructionKind.DIVISOR, ConstructionKind.DOUBLE_COVER,
         ),
-        families: tuple[str, ...] | None = None, igr2_min_n: int = IGR2_SWEEP_MIN_N,
+        families: tuple[str, ...] | None = None,
         extra_bases: tuple[LefschetzBase, ...] = (),
     ) -> None:
         self._set(
             max_n, max_s, max_weight_sum, include_weighted, tuple(dict.fromkeys(kinds)),
-            families, igr2_min_n, extra_bases,
+            families, extra_bases,
         )
         if self.families is None:
             return
@@ -261,10 +249,10 @@ def iter_sweep_bases(bounds: SweepBounds) -> Iterator[LefschetzBase]:
                 yield builtin(source.id, params)
 
 
-def _window(bounds: SweepBounds) -> Iterator[tuple[LefschetzBase, ConstructionKind, int]]:
-    """Every (base, kind, d) triple of the window, in output order.
+def iter_cases(bounds: SweepBounds) -> Iterator[CaseResult]:
+    """All (base, kind, d) analyses in the window; errors recorded inline.
 
-    That order is (base id, parameters, kind in ``ALL_KINDS`` order, d).  A
+    The order is (base id, parameters, kind in ``ALL_KINDS`` order, d).  A
     first walk over the bases counts the cases and keeps no base, so a window
     over :data:`MAX_WINDOW_CASES` is refused before any case is analysed and
     without holding the bases it counted; an admitted window is walked again.
@@ -281,16 +269,10 @@ def _window(bounds: SweepBounds) -> Iterator[tuple[LefschetzBase, ConstructionKi
     for base in iter_sweep_bases(bounds):
         for kind in kinds:
             for d in range(1, base.length_m + 1):
-                yield base, kind, d
-
-
-def iter_cases(bounds: SweepBounds) -> Iterator[CaseResult]:
-    """All (base, kind, d) analyses in the window; errors recorded inline."""
-    for base, kind, d in _window(bounds):
-        try:
-            yield analyze(base, kind, d)
-        except CycalcError as exc:
-            yield CaseResult(base, kind, d, None, None, None, str(exc))
+                try:
+                    yield analyze(base, kind, d)
+                except CycalcError as exc:
+                    yield CaseResult(base, kind, d, None, None, None, str(exc))
 
 
 def sweep(

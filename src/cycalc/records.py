@@ -13,7 +13,7 @@ on every row.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, islice
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 if TYPE_CHECKING:
@@ -21,6 +21,14 @@ if TYPE_CHECKING:
     from .hodge import HHPipelineResult, HodgeDiamond
 
 SCHEMA_VERSION = 1
+
+#: Values of a list joined into one string at a time (a CSV cell, the ``hh``
+#: table's middle row), so that a row of millions of values is never held as
+#: one list of strings.
+ROW_CHUNK = 4096
+
+#: Encoder fragments of a JSON record joined into one string at a time.
+JSON_BATCH = 65536
 
 # Field order of ``case_record``; the CSV header of ``case`` and ``sweep``,
 # printed even when a sweep has no records.
@@ -123,17 +131,20 @@ def to_json(records: Iterable[Mapping]) -> str:
     """The payload ``{"schema_version": 1, "records": [...]}`` and a newline,
     byte for byte as ``json.dumps(payload, indent=2)`` prints it.
 
-    Each record is encoded on its own and indented into the fixed envelope:
-    the indenting encoder otherwise holds every fragment of the whole
-    document in one list before joining them.
+    Each record is encoded on its own and indented into the fixed envelope,
+    :data:`JSON_BATCH` fragments at a time: the indenting encoder otherwise
+    holds every fragment of the whole document in one list before joining them.
     """
     import json
 
-    encode = json.JSONEncoder(indent=2).encode
+    iterencode = json.JSONEncoder(indent=2).iterencode
     parts = [f'{{\n  "schema_version": {SCHEMA_VERSION},\n  "records": [']
     for record in records:
-        separator = ",\n    " if len(parts) > 1 else "\n    "
-        parts.append(separator + encode(record).replace("\n", "\n    "))
+        parts.append(",\n    " if len(parts) > 1 else "\n    ")
+        fragments = iterencode(record)
+        for fragment in fragments:
+            batch = "".join(chain((fragment,), islice(fragments, JSON_BATCH - 1)))
+            parts.append(batch.replace("\n", "\n    "))
     parts.append("\n  ]\n}\n" if len(parts) > 1 else "]\n}\n")
     return "".join(parts)
 
@@ -146,7 +157,10 @@ def _csv_cell(value) -> str:
     if isinstance(value, dict):
         return ";".join(f"{k}={v}" for k, v in value.items())
     if isinstance(value, list):
-        return ";".join(str(v) for v in value)
+        return ";".join(
+            ";".join(map(str, value[start:start + ROW_CHUNK]))
+            for start in range(0, len(value), ROW_CHUNK)
+        )
     return str(value)
 
 

@@ -10,7 +10,6 @@ from cycalc.autoeq import (
     IDENTITY,
     Generator,
     NormalForm,
-    Word,
     resolve,
 )
 from cycalc.errors import UnresolvedGenerator
@@ -108,20 +107,20 @@ TABLE = {
 
 
 def test_empty_word_is_identity():
-    assert resolve(Word()) == IDENTITY
+    assert resolve(()) == IDENTITY
 
 
 def test_comp_twist_resolves_through_table():
-    assert resolve(Word(((Generator.COMP_TWIST, 1),)), TABLE) == NormalForm(shift=2)
+    assert resolve(((Generator.COMP_TWIST, 1),), TABLE) == NormalForm(shift=2)
 
 
 def test_serre_twist_resolves_through_table():
-    assert resolve(Word(((Generator.SERRE_TWIST, 1),)), TABLE) == NormalForm(shift=6)
+    assert resolve(((Generator.SERRE_TWIST, 1),), TABLE) == NormalForm(shift=6)
 
 
 def test_unresolved_generator_raises():
     with pytest.raises(UnresolvedGenerator):
-        resolve(Word(((Generator.SERRE, 1),)))
+        resolve(((Generator.SERRE, 1),))
 
 
 @given(
@@ -135,9 +134,7 @@ def test_unresolved_generator_raises():
 def test_resolve_is_permutation_invariant(factors, rng):
     shuffled = list(factors)
     rng.shuffle(shuffled)
-    word = Word(tuple(factors))
-    permuted = Word(tuple(shuffled))
-    assert resolve(word, TABLE) == resolve(permuted, TABLE)
+    assert resolve(factors, TABLE) == resolve(shuffled, TABLE)
 
 
 def test_base_generator_set():
@@ -145,7 +142,7 @@ def test_base_generator_set():
     assert set(TABLE) == set(Generator)
     for generator in Generator:
         with pytest.raises(UnresolvedGenerator, match=f"generator '{generator.value}' has no"):
-            resolve(Word(((generator, 1),)))
+            resolve(((generator, 1),))
 
 
 # ---------------------------------------------------------------------------

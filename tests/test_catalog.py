@@ -17,7 +17,6 @@ from cycalc.catalog import (
     builtin,
     fonarev_rank,
     load_catalog_file,
-    merge_user_catalog,
 )
 from cycalc.errors import (
     CycalcError, InvalidParams, ParseError, SizeLimitExceeded, UnknownBase, ValidationError,
@@ -283,7 +282,8 @@ def representative_bases():
 
 
 def test_round_trip_single_entry(tmp_path):
-    base = builtin("pn", {"n": 5})
+    # a user base takes no builtin id
+    base = replace(builtin("pn", {"n": 5}), id="my_pn")
     path = tmp_path / "catalog.json"
     path.write_text(catalog_text([base]), encoding="utf-8")
     loaded = load_catalog_file(path)
@@ -291,7 +291,7 @@ def test_round_trip_single_entry(tmp_path):
 
 
 def test_round_trip_all_builtin_representatives(tmp_path):
-    bases = representative_bases()
+    bases = [replace(base, id=f"my_{base.id}") for base in representative_bases()]
     assert len(bases) == 11
     path = tmp_path / "catalog.json"
     path.write_text(catalog_text(bases), encoding="utf-8")
@@ -350,17 +350,12 @@ def test_non_array_is_parse_error(tmp_path):
         load_catalog_file(path)
 
 
-def test_merge_rejects_builtin_collision():
-    clone = LefschetzBase(
-        id="pn",
-        display_name="fake",
-        dim_m=1,
-        length_m=1,
-        rank_b=1,
-        line_bundle_note="",
-    )
-    with pytest.raises(ValidationError):
-        merge_user_catalog([clone])
+def test_builtin_id_rejected(tmp_path):
+    path = tmp_path / "catalog.json"
+    path.write_text(catalog_text([builtin("pn", {"n": 2})]), encoding="utf-8")
+    with pytest.raises(ValidationError) as err:
+        load_catalog_file(path)
+    assert str(err.value) == "catalog id 'pn' collides with a builtin family"
 
 
 def test_chi_stable_defaults_true_and_round_trips(tmp_path):
@@ -471,6 +466,19 @@ def test_single_fault_messages_are_pinned(tmp_path, patch, message):
         ),
         ("", ParseError, "{path}: Expecting value: line 1 column 1 (char 0)"),
         (json.dumps([VALID_ENTRY, VALID_ENTRY]), ValidationError, "duplicate catalog id 'mine'"),
+        # every entry is read before any id is checked against the builtins
+        (
+            json.dumps([dict(VALID_ENTRY, id="pn"), dict(VALID_ENTRY, rank_b=0)]),
+            ValidationError, "rank_b must be >= 1, got 0",
+        ),
+        (
+            json.dumps([dict(VALID_ENTRY, id="pn")] * 2),
+            ValidationError, "duplicate catalog id 'pn'",
+        ),
+        (
+            json.dumps([dict(VALID_ENTRY, id="pn"), dict(VALID_ENTRY, id="igr2")]),
+            ValidationError, "catalog id 'pn' collides with a builtin family",
+        ),
     ],
 )
 def test_document_fault_messages_are_pinned(tmp_path, text, error, message):

@@ -24,7 +24,7 @@ from cycalc import cli
 from cycalc.catalog import FAMILIES, builtin
 from cycalc.constructions import ALL_KINDS, ConstructionKind
 from cycalc.records import CASE_FIELDS, SCHEMA_VERSION
-from reference import catalog_record, catalog_text
+from reference import catalog_record, catalog_text, json_payload
 
 
 def run(capsys, *argv):
@@ -992,36 +992,65 @@ def test_hh_is_sized_by_the_middle_row_it_reads(capsys, fmt):
     assert err.startswith("error: a dimension-9999999 diamond of degree 1 needs more than ")
 
 
-def test_hh_writes_a_long_middle_row_without_holding_it_as_strings():
+class _Chunks(io.TextIOBase):
+    """A text stream that keeps each write as it came."""
+
+    def __init__(self):
+        self.parts = []
+
+    def writable(self):
+        return True
+
+    def write(self, text):
+        self.parts.append(text)
+        return len(text)
+
+
+def hh_peak(*options):
+    """Exit code, stdout and tracemalloc peak of ``hh`` on the P^299999 divisor case.
+
+    dim X = 299,999: a middle row of 300,000 zeros.
+    """
     import tracemalloc
 
-    class Chunks(io.TextIOBase):
-        def __init__(self):
-            self.parts = []
-
-        def writable(self):
-            return True
-
-        def write(self, text):
-            self.parts.append(text)
-            return len(text)
-
-    # dim X = 299,999: a middle row of 300,000 zeros, 600,000 bytes printed
-    sink = Chunks()
+    sink = _Chunks()
     tracemalloc.start()
     try:
         with contextlib.redirect_stdout(sink):
             code = cli.main(
                 ["hh", "--base", "pn", "--n", "300000", "--construction", "divisor"]
-                + ["--degree", "1"]
+                + ["--degree", "1", *options]
             )
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return code, "".join(sink.parts), peak
+
+
+def test_hh_writes_a_long_middle_row_without_holding_it_as_strings():
+    code, out, peak = hh_peak()
     assert code == 0
-    assert "".join(sink.parts).splitlines()[2] == "middle row: " + " ".join("0" * 300_000)
+    assert out.splitlines()[2] == "middle row: " + " ".join("0" * 300_000)
     # a str for every cell of the row at once peaks near 22 MB; chunks stay near 5 MB
     assert peak < 10 * 2**20
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_hh_encodes_a_long_middle_row_in_batches(fmt):
+    code, out, peak = hh_peak("--format", fmt)
+    assert code == 0
+    if fmt == "json":
+        (record,) = json.loads(out)["records"]
+        assert record["middle_row"] == [0] * 300_000
+        # byte for byte what the one-shot standard encoder prints
+        assert out == json_payload([record])
+    else:
+        # no cell holds a comma; the csv reader refuses a field this long
+        header, row = (line.split(",") for line in out.splitlines())
+        assert dict(zip(header, row))["middle_row"] == ";".join("0" * 300_000)
+    # one list of every encoder fragment or cell string peaks above 22 MB;
+    # batches of them stay under 13 MB
+    assert peak < 16 * 2**20
 
 
 @pytest.mark.parametrize(

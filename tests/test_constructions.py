@@ -52,7 +52,7 @@ def test_root_table_on_g2():
 
 
 def all_catalog_tables():
-    for base in iter_sweep_bases(SweepBounds(max_n=12, igr2_min_n=2)):
+    for base in iter_sweep_bases(SweepBounds(max_n=12, extra_bases=(builtin("igr2", {"n": 2}),))):
         for kind in ALL_KINDS:
             for d in range(1, base.length_m + 1):
                 yield base, kind, d, substitution_table(kind, d, base)

@@ -29,6 +29,9 @@ DIV = ConstructionKind.DIVISOR
 COVER = ConstructionKind.DOUBLE_COVER
 ROOT = ConstructionKind.ROOT_STACK
 
+#: Outside the builtin window, which sweeps igr2 from n = 3, but a valid base.
+IGR2_N2 = builtin("igr2", {"n": 2})
+
 
 def test_cubic_fourfold_power():
     assert serre_power(builtin("pn", {"n": 5}), DIV, 3) == NormalForm(shift=2)
@@ -126,7 +129,7 @@ def test_power_field_is_d_over_c():
 
 
 def test_word_path_equals_closed_form_across_catalog():
-    bounds = SweepBounds(max_n=16, igr2_min_n=2, kinds=ALL_KINDS)
+    bounds = SweepBounds(max_n=16, kinds=ALL_KINDS, extra_bases=(IGR2_N2,))
     checked = 0
     for base in iter_sweep_bases(bounds):
         for kind in ALL_KINDS:
@@ -165,7 +168,7 @@ def test_verify_cross_check_pn_only():
 @pytest.mark.parametrize(
     "bounds, cases, negatives",
     [
-        (SweepBounds(max_n=12, igr2_min_n=2, kinds=ALL_KINDS), 1557, 31),
+        (SweepBounds(max_n=12, kinds=ALL_KINDS, extra_bases=(IGR2_N2,)), 1557, 31),
         (
             SweepBounds(
                 include_weighted=True, families=("wpn",), max_weight_sum=10, kinds=ALL_KINDS
@@ -205,7 +208,7 @@ def test_weight_multisets_reach_a_1500_long_tuple():
 
 
 def test_whole_component_power_equals_source_serre_functor():
-    bounds = SweepBounds(max_n=10, igr2_min_n=2, kinds=ALL_KINDS)
+    bounds = SweepBounds(max_n=10, kinds=ALL_KINDS, extra_bases=(IGR2_N2,))
     for base in iter_sweep_bases(bounds):
         m = base.length_m
         for kind in ALL_KINDS:
@@ -226,7 +229,7 @@ def test_negative_dimensions_only_at_hyperplane_type_cases():
 
 
 def test_integrality_matches_divisibility_criterion():
-    for case in iter_cases(SweepBounds(max_n=12, igr2_min_n=2, kinds=ALL_KINDS)):
+    for case in iter_cases(SweepBounds(max_n=12, kinds=ALL_KINDS, extra_bases=(IGR2_N2,))):
         m = case.base.length_m
         if case.error is not None:
             continue

@@ -161,7 +161,7 @@ def test_bare_import_loads_no_cycalc_module():
 PUBLIC_NAMES = [
     "ALL_KINDS", "BUILTIN_IDS", "CaseResult", "ConstructionKind", "FractionalCYWitness",
     "Generator", "HHProfile", "HodgeDiamond", "LefschetzBase", "NormalForm", "PoincareSeries",
-    "SubstitutionTable", "SweepBounds", "Word", "analyze", "builtin", "closed_form",
+    "SubstitutionTable", "SweepBounds", "analyze", "builtin", "closed_form",
     "cy_hh_check", "extract_witness", "fonarev_rank", "hh_component", "hh_pipeline", "hkr",
     "jacobian_poincare", "load_catalog_file", "resolve", "serre_power", "substitution_table",
     "sweep", "verify_cross_check",

@@ -217,7 +217,6 @@ def windows(draw):
         include_weighted=include_weighted,
         kinds=tuple(draw(st.lists(st.sampled_from(ALL_KINDS), min_size=1, max_size=5))),
         families=None if families is None else tuple(families),
-        igr2_min_n=draw(st.integers(2, 4)),
         extra_bases=extra_bases,
     )
 

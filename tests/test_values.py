@@ -5,7 +5,7 @@ import pickle
 
 import pytest
 
-from cycalc.autoeq import Generator, NormalForm, Word
+from cycalc.autoeq import NormalForm
 from cycalc.catalog import FAMILIES, builtin
 from cycalc.constructions import ConstructionKind, substitution_table
 from cycalc.engine import SweepBounds, analyze, verify_cross_check
@@ -21,7 +21,6 @@ def build(name):
     pipeline = hh_pipeline(analyze(base, DIV, 3))
     return {
         "NormalForm": lambda: NormalForm(1, -2, 3, 1),
-        "Word": lambda: Word(((Generator.COMP_TWIST, 2), (Generator.SERRE, -1))),
         "LefschetzBase": lambda: base,
         "Family": lambda: FAMILIES["pn"],
         "SubstitutionTable": lambda: substitution_table(DIV, 3, base),
@@ -42,7 +41,6 @@ def build(name):
 # instantiation rule is a closure, which deep-copies but does not pickle.
 COPYABLE = {
     "NormalForm": (True, True),
-    "Word": (True, True),
     "LefschetzBase": (True, True),
     "Family": (False, True),
     "SubstitutionTable": (False, False),
@@ -77,7 +75,8 @@ def test_equal_values_hash_equally_and_other_classes_are_not_compared(name):
     value, twin = build(name), build(name)
     assert value == twin and hash(value) == hash(twin)
     assert value.__eq__(object()) is NotImplemented
-    assert value.__eq__(build("NormalForm" if name != "NormalForm" else "Word")) is NotImplemented
+    other = "NormalForm" if name != "NormalForm" else "FractionalCYWitness"
+    assert value.__eq__(build(other)) is NotImplemented
     assert value != object()
 
 
