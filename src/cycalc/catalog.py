@@ -171,12 +171,13 @@ def _normalize_weights(params: Mapping[str, int]) -> tuple[int, ...]:
     if not params:
         raise InvalidParams("wpn requires at least one weight")
     try:
-        indexed = sorted(params.items(), key=lambda kv: int(kv[0][1:]))
-    except (ValueError, IndexError):
+        for key in params:
+            int(key[1:])  # the weights are sorted by value, so the index is only checked
+    except ValueError:
         raise InvalidParams("wpn weight parameters must be named w0, w1, ...")
-    if any(not key.startswith("w") for key, _ in indexed):
+    if any(not key.startswith("w") for key in params):
         raise InvalidParams("wpn weight parameters must be named w0, w1, ...")
-    weights = tuple(sorted(value for _, value in indexed))
+    weights = tuple(sorted(params.values()))
     if len(weights) < 2:
         raise InvalidParams("wpn requires at least two weights")
     if any(w < 1 for w in weights):

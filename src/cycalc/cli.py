@@ -271,7 +271,7 @@ def _cmd_hodge(args: argparse.Namespace) -> int:
     case = _analyze_args(args)
     diamond = diamond_for_case(case)
     if args.format == "table":
-        print(f"{case.base.display_name}, {args.construction} of degree {args.degree}: "
+        print(f"{case.base.display_name}, {case.kind.value} of degree {case.d}: "
               f"dim X = {diamond.dim_x}")
         for row in diamond.hodge:
             print(" ".join(map(str, row)))
@@ -286,12 +286,12 @@ def _cmd_hh(args: argparse.Namespace) -> int:
     case = _analyze_args(args)
     pipeline = hh_pipeline(case)
     if args.format == "table":
-        print(f"{case.base.display_name}, {args.construction} of degree {args.degree}")
+        print(f"{case.base.display_name}, {case.kind.value} of degree {case.d}")
         print(f"dim X = {pipeline.diamond.dim_x}")
-        row = pipeline.diamond.middle_row()
         sys.stdout.write("middle row:")
-        for start in range(0, len(row), records.ROW_CHUNK):
-            sys.stdout.write(" " + " ".join(map(str, row[start:start + records.ROW_CHUNK])))
+        row = map(str, pipeline.diamond.middle_row())
+        for piece in records.bounded_join(" ", row, records.ROW_CHUNK):
+            sys.stdout.write(" " + piece)
         print()
         print(f"HH(D(X)):   {pipeline.hh_total}")
         print(f"HH(comp.):  {pipeline.hh_component}")

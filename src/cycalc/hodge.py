@@ -323,48 +323,38 @@ def cy_hh_check(case: CaseResult, hh_a: HHProfile) -> HHCheckReport:
     return HHCheckReport(n_cy=n_cy, value=hh_a.dim(-n_cy), expect_one=expect_one)
 
 
-def _ambient(base: LefschetzBase) -> tuple[int, tuple[int, ...]] | None:
-    """The space P(1^ones, weights) that ``base`` is, as (ones, weights), if any."""
-    if base.id == "pn":
-        return base.dim_m + 1, ()
-    if base.id == "wpn":
-        return 0, base.param_key()
-    return None
-
-
 def _realisation(case: CaseResult) -> _Hypersurface:
     """The total space X of a supported case, as one hypersurface.
 
-    This is the one place that decides which weights and degree a case
-    stands for.  X lies in the base's own space (:func:`_ambient`):
+    This is the one place that reads a case's base and construction and
+    decides which weights, degree and dimension it stands for; ``hodge`` and
+    ``hh`` both pass through it.  X has the case's own ``dim_x``:
 
     * pn divisor: degree d in P(1^(n+1)); for d = 1 the linear space P^(n-1)
     * pn cover: y^2 = f(x), of degree 2d in P(1^(n+1), d)
     * wpn divisor: degree d in P(w_0, ..., w_n), each w_i dividing d
 
     Root-stack cases are rejected: the stack's homology includes twisted
-    sectors that this module does not model.
+    sectors that this module does not model.  Every other base and
+    construction has no Hodge machinery here.
     """
     base, kind, d = case.base, case.kind, case.d
     if kind is ConstructionKind.ROOT_STACK:
         raise HodgeUnsupported("root-stack cases carry twisted sectors; not computed")
-    ambient = _ambient(base)
-    if ambient is None or (base.id, kind) == ("wpn", ConstructionKind.DOUBLE_COVER):
+    if (base.id, kind) == ("wpn", ConstructionKind.DIVISOR):
+        return _weighted(base.param_key(), d)
+    if base.id != "pn":
         raise HodgeUnsupported(
             f"no Hodge machinery for base {base.id!r} with construction {kind.value!r}"
         )
-    ones, weights = ambient
-    if base.id == "wpn":
-        return _weighted(weights, d)
-    n = ones - 1
+    n = base.dim_m
     if n < 2:
         where = "ambient" if kind is ConstructionKind.DIVISOR else "base"
         raise InvalidParams(f"{where} projective space must have n >= 2, got {n}")
     if kind is ConstructionKind.DOUBLE_COVER:
-        return _Hypersurface(n, ones, (d,), 2 * d)
-    if d == 1:
-        return _Hypersurface(n - 1, 0, (), 1)
-    return _Hypersurface(n - 1, ones, (), d)
+        return _Hypersurface(case.dim_x, n + 1, (d,), 2 * d)
+    ones = n + 1 if d > 1 else 0  # a hyperplane is the linear space P^(n-1): no equation
+    return _Hypersurface(case.dim_x, ones, (), d)
 
 
 def diamond_for_case(case: CaseResult, table: bool = True) -> HodgeDiamond:
@@ -386,14 +376,15 @@ class HHPipelineResult(Value):
 def hh_pipeline(case: CaseResult) -> HHPipelineResult:
     """Diamond -> HH(D(X)) -> HH(component) -> nonvanishing check.
 
-    A base whose space has weights that are not pairwise coprime is refused
-    first, whatever the construction: the Fermat member then meets a stacky
-    stratum, and the twisted sectors it adds to HH_0 are not modelled, so the
-    block subtraction would be wrong.  The unit weights, and the weight d that
-    a cover of P^n adds, are coprime to every other weight.
+    The case is realised first (:func:`_realisation`), so ``hh`` refuses
+    exactly what ``hodge`` refuses, with the same message.  It then also
+    refuses a realised hypersurface whose weights are not pairwise coprime:
+    the Fermat member meets a stacky stratum, and the twisted sectors it adds
+    to HH_0 are not modelled, so the block subtraction would be wrong.  The
+    unit weights, and the weight d that a cover of P^n adds, are coprime to
+    every other weight.
     """
-    ambient = _ambient(case.base)
-    weights = ambient[1] if ambient else ()
+    weights = _realisation(case).weights
     if any(gcd(a, b) > 1 for a, b in combinations(weights, 2)):
         raise HodgeUnsupported(
             f"weights {','.join(map(str, weights))} are not pairwise coprime; "

@@ -14,7 +14,7 @@ on every row.
 from __future__ import annotations
 
 from itertools import chain, islice
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 if TYPE_CHECKING:
     from .engine import CaseResult
@@ -29,6 +29,15 @@ ROW_CHUNK = 4096
 
 #: Encoder fragments of a JSON record joined into one string at a time.
 JSON_BATCH = 65536
+
+
+def bounded_join(sep: str, strings: Iterable[str], size: int) -> Iterator[str]:
+    """``sep.join(strings)`` as pieces of at most ``size`` strings, built one at
+    a time; joining the pieces with ``sep`` gives the whole."""
+    strings = iter(strings)
+    for first in strings:
+        yield sep.join(chain((first,), islice(strings, size - 1)))
+
 
 # Field order of ``case_record``; the CSV header of ``case`` and ``sweep``,
 # printed even when a sweep has no records.
@@ -141,9 +150,7 @@ def to_json(records: Iterable[Mapping]) -> str:
     parts = [f'{{\n  "schema_version": {SCHEMA_VERSION},\n  "records": [']
     for record in records:
         parts.append(",\n    " if len(parts) > 1 else "\n    ")
-        fragments = iterencode(record)
-        for fragment in fragments:
-            batch = "".join(chain((fragment,), islice(fragments, JSON_BATCH - 1)))
+        for batch in bounded_join("", iterencode(record), JSON_BATCH):
             parts.append(batch.replace("\n", "\n    "))
     parts.append("\n  ]\n}\n" if len(parts) > 1 else "]\n}\n")
     return "".join(parts)
@@ -157,10 +164,7 @@ def _csv_cell(value) -> str:
     if isinstance(value, dict):
         return ";".join(f"{k}={v}" for k, v in value.items())
     if isinstance(value, list):
-        return ";".join(
-            ";".join(map(str, value[start:start + ROW_CHUNK]))
-            for start in range(0, len(value), ROW_CHUNK)
-        )
+        return ";".join(bounded_join(";", map(str, value), ROW_CHUNK))
     return str(value)
 
 

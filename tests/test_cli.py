@@ -459,8 +459,7 @@ HODGE_MATRIX = [
      "error: need an ambient space of dimension at least 2\n"),
     ("hh --base wpn --weights 2,2 --construction divisor --degree 4", 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-     "error: weights 2,2 are not pairwise coprime; the twisted sectors of the "
-     "stacky locus are not modelled\n"),
+     "error: need an ambient space of dimension at least 2\n"),
     ("hodge --base wpn --weights 1,1,3 --construction divisor --degree 3", 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
      "error: degree 3 must exceed every weight, got weight 3\n"),
@@ -478,12 +477,10 @@ HODGE_MATRIX = [
      "the stacky locus are not modelled\n"),
     ("hh --base wpn --weights 1,2,2,3 --construction root --degree 3", 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-     "error: weights 1,2,2,3 are not pairwise coprime; the twisted sectors of "
-     "the stacky locus are not modelled\n"),
+     "error: root-stack cases carry twisted sectors; not computed\n"),
     ("hh --base wpn --weights 1,2,2,3 --construction cover --degree 2", 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-     "error: weights 1,2,2,3 are not pairwise coprime; the twisted sectors of "
-     "the stacky locus are not modelled\n"),
+     "error: no Hodge machinery for base 'wpn' with construction 'cover'\n"),
     ("hodge --base wpn --weights 1,2,3 --construction cover --degree 2", 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
      "error: no Hodge machinery for base 'wpn' with construction 'cover'\n"),
@@ -1051,6 +1048,26 @@ def test_hh_encodes_a_long_middle_row_in_batches(fmt):
     # one list of every encoder fragment or cell string peaks above 22 MB;
     # batches of them stay under 13 MB
     assert peak < 16 * 2**20
+
+
+def test_hh_csv_middle_row_reads_back_only_with_a_raised_field_limit(capsys):
+    # dim X = 69,999: a cell of 70,000 values, 139,999 characters
+    code, out, _ = run(
+        capsys, "hh", "--base", "pn", "--n", "70000", "--construction", "divisor",
+        "--degree", "1", "--format", "csv",
+    )
+    assert code == 0
+    default = csv.field_size_limit()
+    with pytest.raises(csv.Error):
+        list(csv.reader(io.StringIO(out)))
+    csv.field_size_limit(2**20)
+    try:
+        header, row = csv.reader(io.StringIO(out))
+    finally:
+        csv.field_size_limit(default)
+    cell = dict(zip(header, row))["middle_row"]
+    assert len(cell) > default
+    assert cell.split(";") == ["0"] * 70_000
 
 
 @pytest.mark.parametrize(

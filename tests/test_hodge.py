@@ -8,10 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cycalc import hodge
-from cycalc.catalog import builtin
+from cycalc.catalog import _weight_multisets, builtin
 from cycalc.constructions import ConstructionKind
 from cycalc.engine import SweepBounds, analyze, iter_cases
 from cycalc.errors import (
+    CycalcError,
     DegreeOutOfRange,
     HodgeUnsupported,
     InvalidParams,
@@ -470,20 +471,83 @@ FERMAT_DIVISORS = [
 def test_hh_refuses_exactly_the_weights_sharing_a_factor(system):
     weights, degree = system
     case = analyze(builtin("wpn", {f"w{i}": w for i, w in enumerate(weights)}), DIV, degree)
+    if len(weights) < 3:
+        # two weights span no surface: hh refuses it as hodge does, shared factor or not
+        for compute in (hh_pipeline, diamond_for_case):
+            with pytest.raises(InvalidParams):
+                compute(case)
+        return
     shared = any(gcd(a, b) > 1 for a, b in combinations(weights, 2))
     try:
         hh_pipeline(case)
         refused = False
     except HodgeUnsupported:
         refused = True
-    except InvalidParams:
-        refused = False  # two weights span no surface, so there is no diamond
     assert refused == shared
-    if len(weights) >= 3:
-        assert diamond_for_case(case).dim_x == len(weights) - 2
-    else:
-        with pytest.raises(InvalidParams):
-            diamond_for_case(case)
+    assert diamond_for_case(case).dim_x == len(weights) - 2
+
+
+def _realised_weights(case):
+    """The weights of the hypersurface that the README's table realises ``case``
+    as, beside its unit weights; ``None`` when the case has no realisation."""
+    base, kind = case.base, case.kind
+    if base.id == "wpn" and kind is DIV and len(base.param_key()) >= 3:
+        return base.param_key()
+    if base.id == "pn" and kind is not ConstructionKind.ROOT_STACK and base.dim_m >= 2:
+        return (case.d,) if kind is COVER else ()
+    return None
+
+
+def _case_outcome(compute, case):
+    """(result, None), or (None, (error class, message)) for a refusal."""
+    try:
+        return compute(case), None
+    except CycalcError as exc:
+        return None, (type(exc), str(exc))
+
+
+def _agreement_grid():
+    """Every case of every kind and degree over small pn, wpn, gr and quadric bases."""
+    bases = [builtin("pn", {"n": n}) for n in range(1, 7)]
+    bases += [
+        builtin("wpn", {f"w{i}": w for i, w in enumerate(weights)})
+        for weights in _weight_multisets(10)
+    ]
+    bases += [builtin("gr", {"k": 2, "n": 5}), builtin("quadric4s2", {"s": 1})]
+    for base in bases:
+        for kind in ConstructionKind:
+            for d in range(1, base.length_m + 1):
+                try:
+                    yield analyze(base, kind, d)
+                except CycalcError:
+                    continue  # the construction does not exist on this base
+
+
+def test_hh_refuses_what_hodge_refuses_and_then_only_shared_weights():
+    seen = set()
+    for case in _agreement_grid():
+        where = f"{case.base.display_name} {case.kind.value} d={case.d}"
+        pipeline, hh_error = _case_outcome(hh_pipeline, case)
+        diamond, hodge_error = _case_outcome(diamond_for_case, case)
+        weights = _realised_weights(case)
+        if weights is None:
+            assert hodge_error is not None, where
+        if weights and any(gcd(a, b) > 1 for a, b in combinations(weights, 2)):
+            listed = ",".join(map(str, weights))
+            assert hh_error == (HodgeUnsupported, f"weights {listed} are not pairwise coprime; "
+                                "the twisted sectors of the stacky locus are not modelled"), where
+        else:
+            assert hh_error == hodge_error, where
+        if diamond is not None:
+            assert diamond.dim_x == case.dim_x, where
+            if pipeline is not None:
+                assert pipeline.diamond == diamond, where
+        seen.add((case.base.id, hh_error and hh_error[0], hodge_error and hodge_error[0]))
+    # the grid reaches every refusal and both successes
+    assert {error for _, error, _ in seen} >= {
+        None, HodgeUnsupported, InvalidParams, InvalidWeights
+    }
+    assert {base_id for base_id, _, _ in seen} == {"pn", "wpn", "gr", "quadric4s2"}
 
 
 def test_weighted_divisor_pipeline_matches_double_cover():

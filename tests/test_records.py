@@ -3,6 +3,7 @@
 import sys
 import tracemalloc
 
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -33,6 +34,16 @@ rows = st.dictionaries(text, values, max_size=6)
 @example([{"schema_version": 1, "params": {}, "serre_power": "S^3 = τ^1 χ^0 [-4]"}])
 def test_json_of_a_generator_equals_the_one_shot_encoder(rows):
     assert records.to_json(row for row in rows) == json_payload(rows)
+
+
+@pytest.mark.parametrize("sep", ["", ";", " "])
+@pytest.mark.parametrize("count", [0, 1, 3, 4, 5, 9])
+def test_bounded_join_is_the_whole_join_in_pieces_of_size_strings(sep, count):
+    size = 4
+    strings = [f"s{i}" for i in range(count)]
+    pieces = list(records.bounded_join(sep, iter(strings), size))
+    assert sep.join(pieces) == sep.join(strings)
+    assert len(pieces) == -(-count // size)  # every piece but the last holds size strings
 
 
 def test_json_of_sweep_records_equals_the_one_shot_encoder():
