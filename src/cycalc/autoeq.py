@@ -26,7 +26,6 @@ Two layers are provided:
 from __future__ import annotations
 
 import enum
-from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import UnresolvedGenerator
@@ -89,8 +88,7 @@ IDENTITY = NormalForm()
 
 
 def resolve(
-    factors: Iterable[tuple[Generator, int]],
-    table: Mapping[Generator, NormalForm] = MappingProxyType({}),
+    factors: Iterable[tuple[Generator, int]], table: Mapping[Generator, NormalForm]
 ) -> NormalForm:
     """Collapse a word, given as (generator, exponent) pairs, to its normal form.
 

@@ -9,24 +9,8 @@ generating one block).  The actual objects are never represented; every
 computation downstream only needs these counts together with the standing
 hypothesis that the canonical bundle of M is L^-m.
 
-Builtin families
-----------------
-
-========== ============================================= ========= ====== =====
-id         variety                                       dim M     m      rk B
-========== ============================================= ========= ====== =====
-pn         projective space P^n                          n         n+1    1
-wpn        weighted projective stack P(w_0,...,w_n)      n         sum w  1
-quadric4s2 smooth quadric of dimension 4s+2, L = O(2s+1) 4s+2      2      2s+2
-gr         Grassmannian Gr(k,n), gcd(k,n) = 1            k(n-k)    n      C(n,k)/n
-ogr2       orthogonal Grassmannian OGr(2,2n+1)           4n-5      2n-2   n
-sgr36      symplectic Grassmannian SGr(3,6)              6         4      2
-ogr510     spinor tenfold OGr_+(5,10)                    10        8      2
-g2gr       adjoint Grassmannian of type G2               5         3      2
-igr2       hyperplane section of Gr(2,2n+1)              4n-3      2n     n
-gr26_L2    Gr(2,6) with L = O(2)                         8         3      5
-p3xp3      P^3 x P^3 with L = O(1,1)                     6         4      4
-========== ============================================= ========= ====== =====
+Builtin families are the ``FAMILIES`` rows; ``cycalc catalog`` lists each
+row's id, dim M, m and rk B as the formulas that the row's rules compute.
 
 Dimension counts for the two infinite isotropic families are the standard
 ones: OGr(2,2n+1) has dimension 2(2n+1) - 3 - (2+1) + 1 - 1 = 4n - 5 (lines on

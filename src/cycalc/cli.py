@@ -34,7 +34,7 @@ from .engine import (
     sweep,
     verify_cross_check,
 )
-from .errors import CycalcError, UnknownBase
+from .errors import CycalcError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -57,30 +57,42 @@ class _Parser(argparse.ArgumentParser):
         return namespace, extras
 
 
-def _parse_cy_dim(text: str) -> Fraction:
+def _cy_dim(text: str) -> Fraction:
     try:
         if "/" in text:
             num, den = text.split("/", 1)
             return Fraction(int(num), int(den))
         return Fraction(int(text))
     except (ValueError, ZeroDivisionError):
-        raise CycalcError(f"cannot parse Calabi-Yau dimension {text!r}; use an integer or p/q")
+        raise argparse.ArgumentTypeError(
+            f"cannot parse Calabi-Yau dimension {text!r}; use an integer or p/q"
+        )
 
 
-def _parse_kinds(text: str) -> tuple[ConstructionKind, ...]:
-    kinds = []
-    for name in text.split(","):
-        name = name.strip()
-        if not name:
-            continue
-        try:
-            kinds.append(ConstructionKind(name))
-        except ValueError:
-            *rest, last = (kind.value for kind in ALL_KINDS)
-            raise CycalcError(f"unknown construction {name!r}; use {', '.join(rest)} or {last}")
-    if not kinds:
-        raise CycalcError("at least one construction kind is required")
-    return tuple(kinds)
+def _kind(text: str) -> ConstructionKind:
+    try:
+        return ConstructionKind(text)
+    except ValueError:
+        *rest, last = (kind.value for kind in ALL_KINDS)
+        raise argparse.ArgumentTypeError(
+            f"unknown construction {text!r}; use {', '.join(rest)} or {last}"
+        )
+
+
+def _names(text: str) -> tuple[str, ...]:
+    """The non-empty comma-separated names of ``text``; "" and "," name none."""
+    return tuple(name.strip() for name in text.split(",") if name.strip())
+
+
+def _kinds(text: str) -> tuple[ConstructionKind, ...]:
+    return tuple(map(_kind, _names(text)))
+
+
+def _weights(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(map(int, _names(text)))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cannot parse weights {text!r}")
 
 
 def _user_bases() -> tuple[LefschetzBase, ...]:
@@ -94,40 +106,29 @@ def _collect_params(args: argparse.Namespace) -> dict[str, int]:
     given = vars(args)
     params = {name: given[name] for name in INT_PARAM_NAMES if given[name] is not None}
     if args.weights is not None:
-        try:
-            weights = [int(w) for w in args.weights.split(",") if w.strip()]
-        except ValueError:
-            raise CycalcError(f"cannot parse weights {args.weights!r}")
-        params.update({f"w{i}": w for i, w in enumerate(weights)})
+        params.update({f"w{i}": w for i, w in enumerate(args.weights)})
     return params
 
 
 def _resolve_base(args: argparse.Namespace) -> LefschetzBase:
     params = _collect_params(args)
-    if args.base in FAMILIES:
-        return builtin(args.base, params)
-    for base in _user_bases():
-        if base.id == args.base:
-            if params:
-                raise CycalcError(f"user base {args.base!r} takes no family parameters")
-            return base
-    raise UnknownBase(f"unknown base id {args.base!r}")
+    if args.base not in FAMILIES:
+        for base in _user_bases():
+            if base.id == args.base:
+                if params:
+                    raise CycalcError(f"user base {args.base!r} takes no family parameters")
+                return base
+    return builtin(args.base, params)
 
 
 def _bounds(args: argparse.Namespace, default_kinds: tuple[ConstructionKind, ...]) -> SweepBounds:
-    kinds = default_kinds
-    if args.kinds:
-        kinds = _parse_kinds(args.kinds)
-    families = None
-    if args.families:
-        families = tuple(name.strip() for name in args.families.split(",") if name.strip())
     return SweepBounds(
         max_n=args.max_n,
         max_s=args.max_s,
         max_weight_sum=args.max_weight_sum,
         include_weighted=args.include_weighted,
-        kinds=kinds,
-        families=families,
+        kinds=default_kinds if args.kinds is None else args.kinds,
+        families=args.families,
         extra_bases=_user_bases(),
     )
 
@@ -152,10 +153,13 @@ def _add_base_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--base", required=True, help="base id (builtin family or user catalog)")
     for name in INT_PARAM_NAMES:
         parser.add_argument(f"--{name}", type=int, default=None, help=f"family parameter {name}")
-    parser.add_argument("--weights", default=None, help="comma-separated weights for wpn")
+    parser.add_argument(
+        "--weights", type=_weights, default=None, help="comma-separated weights for wpn"
+    )
     parser.add_argument(
         "--construction",
-        choices=tuple(kind.value for kind in ALL_KINDS),
+        type=_kind,
+        metavar="{" + ",".join(kind.value for kind in ALL_KINDS) + "}",
         required=True,
         help="spherical construction",
     )
@@ -183,11 +187,12 @@ def _add_bounds_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--kinds",
+        type=_kinds,
         default=None,
         help="comma-separated constructions to sweep (divisor,cover,root)",
     )
     parser.add_argument(
-        "--families", default=None, help="restrict the sweep to these base ids"
+        "--families", type=_names, default=None, help="restrict the sweep to these base ids"
     )
 
 
@@ -217,7 +222,7 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
 
 def _analyze_args(args: argparse.Namespace) -> CaseResult:
     """The case named by ``--base``/family parameters, ``--construction`` and ``--degree``."""
-    return analyze(_resolve_base(args), ConstructionKind(args.construction), args.degree)
+    return analyze(_resolve_base(args), args.construction, args.degree)
 
 
 def _cmd_case(args: argparse.Namespace) -> int:
@@ -232,8 +237,7 @@ def _cmd_case(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     bounds = _bounds(args, default_kinds=SweepBounds().kinds)
-    cy_dim = _parse_cy_dim(args.cy_dim) if args.cy_dim is not None else None
-    results = sweep(bounds, cy_dim=cy_dim, integer_only=args.integer)
+    results = sweep(bounds, cy_dim=args.cy_dim, integer_only=args.integer)
     _emit(
         (records.case_record(c) for c in results),
         args.format,
@@ -329,6 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_bounds_args(p_sweep)
     p_sweep.add_argument(
         "--cy-dim",
+        type=_cy_dim,
         default=None,
         help="filter: integer or p/q dimension; write a negative one as --cy-dim=-17/3",
     )
@@ -364,13 +369,34 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that is gone shows here, not in the exit flush
+        return code
     except CycalcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except AssertionError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except BrokenPipeError:
+        return _stdout_closed()
+
+
+def _stdout_closed() -> int:
+    """The reader closed stdout early: keep the exit flush quiet, say so once, exit 2."""
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):
+        pass  # no descriptor, as under a capturing test runner
+    else:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+    try:
+        print("error: standard output was closed before the output was complete", file=sys.stderr)
+    except OSError:
+        pass  # stderr is the same closed pipe
+    return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

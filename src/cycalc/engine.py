@@ -192,9 +192,9 @@ class SweepBounds(Value):
     (all-ones weights duplicate ``pn`` and the weighted family is infinite in
     spirit) and run up to weight sum ``max_weight_sum``.  A kind given twice
     is kept once, in first-seen order; windows sweep kinds in ``ALL_KINDS``
-    order.  Every id in ``families`` must select something: it is a builtin
-    family or an ``extra_bases`` id, and ``wpn`` needs ``include_weighted``;
-    an empty ``families`` is refused too.
+    order, and an empty ``kinds`` is refused.  Every id in ``families`` must
+    select something: it is a builtin family or an ``extra_bases`` id, and
+    ``wpn`` needs ``include_weighted``; an empty ``families`` is refused too.
     """
 
     __slots__ = (
@@ -215,6 +215,8 @@ class SweepBounds(Value):
             max_n, max_s, max_weight_sum, include_weighted, tuple(dict.fromkeys(kinds)),
             families, extra_bases,
         )
+        if not self.kinds:
+            raise InvalidParams("at least one construction kind is required")
         if self.families is None:
             return
         if not self.families:

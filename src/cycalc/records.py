@@ -23,12 +23,9 @@ if TYPE_CHECKING:
 SCHEMA_VERSION = 1
 
 #: Values of a list joined into one string at a time (a CSV cell, the ``hh``
-#: table's middle row), so that a row of millions of values is never held as
-#: one list of strings.
+#: table's middle row, a JSON record's encoder fragments, one per list value),
+#: so that a row of millions of values is never held as one list of strings.
 ROW_CHUNK = 4096
-
-#: Encoder fragments of a JSON record joined into one string at a time.
-JSON_BATCH = 65536
 
 
 def bounded_join(sep: str, strings: Iterable[str], size: int) -> Iterator[str]:
@@ -141,7 +138,7 @@ def to_json(records: Iterable[Mapping]) -> str:
     byte for byte as ``json.dumps(payload, indent=2)`` prints it.
 
     Each record is encoded on its own and indented into the fixed envelope,
-    :data:`JSON_BATCH` fragments at a time: the indenting encoder otherwise
+    :data:`ROW_CHUNK` fragments at a time: the indenting encoder otherwise
     holds every fragment of the whole document in one list before joining them.
     """
     import json
@@ -150,7 +147,7 @@ def to_json(records: Iterable[Mapping]) -> str:
     parts = [f'{{\n  "schema_version": {SCHEMA_VERSION},\n  "records": [']
     for record in records:
         parts.append(",\n    " if len(parts) > 1 else "\n    ")
-        for batch in bounded_join("", iterencode(record), JSON_BATCH):
+        for batch in bounded_join("", iterencode(record), ROW_CHUNK):
             parts.append(batch.replace("\n", "\n    "))
     parts.append("\n  ]\n}\n" if len(parts) > 1 else "]\n}\n")
     return "".join(parts)

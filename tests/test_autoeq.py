@@ -107,7 +107,7 @@ TABLE = {
 
 
 def test_empty_word_is_identity():
-    assert resolve(()) == IDENTITY
+    assert resolve((), {}) == IDENTITY
 
 
 def test_comp_twist_resolves_through_table():
@@ -120,7 +120,7 @@ def test_serre_twist_resolves_through_table():
 
 def test_unresolved_generator_raises():
     with pytest.raises(UnresolvedGenerator):
-        resolve(((Generator.SERRE, 1),))
+        resolve(((Generator.SERRE, 1),), {})
 
 
 @given(
@@ -142,7 +142,7 @@ def test_base_generator_set():
     assert set(TABLE) == set(Generator)
     for generator in Generator:
         with pytest.raises(UnresolvedGenerator, match=f"generator '{generator.value}' has no"):
-            resolve(((generator, 1),))
+            resolve(((generator, 1),), {})
 
 
 # ---------------------------------------------------------------------------

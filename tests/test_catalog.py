@@ -1,7 +1,10 @@
 """Builtin catalog, block-rank combinatorics, and the catalog file format."""
 
 import json
+import re
 import sys
+from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import comb, gcd
 
 import pytest
@@ -368,11 +371,101 @@ def test_chi_stable_defaults_true_and_round_trips(tmp_path):
     assert loaded.chi_stable is False
 
 
-def test_family_metadata_is_complete():
+FORMULA_TOKEN = re.compile(r"\s*(w0\+\.\.\.\+wn|\d+|[A-Za-z]|[-+/(),])")
+
+
+def evaluate_formula(text, names):
+    """The exact value of a catalog formula such as ``4s+2``, ``k(n-k)`` or ``C(n,k)/n``.
+
+    Integers, one-letter ``names``, ``+ - /``, parentheses and implicit
+    products; ``C(n,k)`` is a binomial coefficient and ``w0+...+wn`` is one
+    name, the sum of the weights.
+    """
+    tokens = FORMULA_TOKEN.findall(text)
+    assert "".join(tokens) == text.replace(" ", ""), text
+    pos = 0
+
+    def take(expected=None):
+        nonlocal pos
+        token = tokens[pos]
+        assert expected in (None, token), (text, pos)
+        pos += 1
+        return token
+
+    def peek():
+        return tokens[pos] if pos < len(tokens) else None
+
+    def expr():
+        value = term()
+        while peek() in ("+", "-"):
+            sign = take()
+            value = value + term() if sign == "+" else value - term()
+        return value
+
+    def term():
+        value = factor()
+        while peek() not in (None, "+", "-", ")", ","):
+            if peek() == "/":
+                take()
+                value /= factor()
+            else:
+                value *= factor()  # an implicit product: 4n, k(n-k)
+        return value
+
+    def factor():
+        token = take()
+        if token == "(":
+            value = expr()
+            take(")")
+            return value
+        if token == "C":
+            take("(")
+            n = expr()
+            take(",")
+            k = expr()
+            take(")")
+            return Fraction(comb(int(n), int(k)))
+        if token.isdigit():
+            return Fraction(int(token))
+        return Fraction(names[token])
+
+    value = expr()
+    assert pos == len(tokens), text
+    return value
+
+
+def formula_grid():
+    """(family id, params, the names its formulas read) over a small window of each row."""
+    for family_id in ("pn", "ogr2", "igr2"):
+        first = 1 if family_id == "pn" else 2
+        for n in range(first, 9):
+            yield family_id, {"n": n}, {"n": n}
+    for s in range(1, 5):
+        yield "quadric4s2", {"s": s}, {"s": s}
+    for n in range(2, 13):
+        for k in range(1, n):
+            if gcd(k, n) == 1:
+                yield "gr", {"k": k, "n": n}, {"k": k, "n": n}
     for family in FAMILIES.values():
-        assert family.dim_formula
-        assert family.length_formula
-        assert family.rank_formula
+        if not family.param_names:
+            yield family.id, {}, {}
+    for length in range(2, 9):
+        for weights in combinations_with_replacement(range(1, 8), length):
+            if sum(weights) <= 8:
+                params = {f"w{i}": w for i, w in enumerate(weights)}
+                yield "wpn", params, {"n": length - 1, "w0+...+wn": sum(weights)}
+
+
+def test_family_metadata_is_complete():
+    # the formulas `cycalc catalog` prints are the rows' rules
+    seen = set()
+    for family_id, params, names in formula_grid():
+        family, base = FAMILIES[family_id], builtin(family_id, params)
+        assert evaluate_formula(family.dim_formula, names) == base.dim_m, (family_id, params)
+        assert evaluate_formula(family.length_formula, names) == base.length_m, (family_id, params)
+        assert evaluate_formula(family.rank_formula, names) == base.rank_b, (family_id, params)
+        seen.add(family_id)
+    assert seen == set(FAMILIES)
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,18 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def subparser(command):
+    """The parser of one subcommand."""
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[command]
+
+
+def usage(command):
+    """The usage line that a subcommand prints before a usage error."""
+    return subparser(command).format_usage()
+
+
 # ---------------------------------------------------------------------------
 # catalog
 # ---------------------------------------------------------------------------
@@ -161,10 +173,14 @@ def test_sweep_fractional_filter(capsys):
     assert [(r["base_id"], r["degree"]) for r in records] == [("pn", 3)]
 
 
-def test_sweep_malformed_filter_exit_2(capsys):
-    code, _, err = run(capsys, "sweep", "--cy-dim", "two")
-    assert code == 2
-    assert "two" in err
+@pytest.mark.parametrize("text", ["two", "3/", "1/0", "", "1.5", "/3"])
+def test_sweep_malformed_filter_exit_1(capsys, text):
+    code, out, err = run(capsys, "sweep", f"--cy-dim={text}")
+    assert (code, out) == (1, "")
+    assert err == usage("sweep") + (
+        f"error: argument --cy-dim: cannot parse Calabi-Yau dimension {text!r}; "
+        "use an integer or p/q\n"
+    )
 
 
 def test_sweep_negative_fraction_needs_the_equals_form(capsys):
@@ -409,6 +425,55 @@ def test_stdout_is_byte_identical_to_recorded_digests(capsys, monkeypatch):
         code, out, err = run(capsys, *argv)
         assert (code, err) == (0, ""), argv
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, argv
+
+
+# sha256 of each parser's -h output at 80 columns.  The flag converters do not
+# change it: --construction keeps its {divisor,cover,root} metavar.
+HELP_SHA256 = {
+    (): "2010ee04fd8c434656837af4b74248ef4188b2cd986f533eb8830651fd4cc171",
+    ("catalog",): "408cb909d6ac53f204fd9e025c38f79164cdad8598234ac4fefa014a02cb934a",
+    ("case",): "a66d03d2bd67eeb47680f3a339b8ef2e37b69c7f15ee97a71692cc172de7659c",
+    ("sweep",): "94f257305f3cbac7d491c9a9eaa9175419af3423b6753b772e571b89e40e7e17",
+    ("verify",): "a4efcf259c05be74b10608525e28017109486bf089ceadc6190c317e65958e6b",
+    ("hodge",): "bc5095f943b6b3d2ead7faeebc8b00b9e2a615a5455404767a529c1f12e9b17b",
+    ("hh",): "d58fd69d55181a2cd00e0df7215833504aeab90e9342fbb28322079a91eeb970",
+}
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11),
+    reason="the digests were recorded with Python 3.11's argparse layout",
+)
+@pytest.mark.parametrize("command", list(HELP_SHA256), ids=lambda c: " ".join(c) or "cycalc")
+def test_help_is_byte_identical_to_recorded_digests(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(capsys, *command, "-h")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == HELP_SHA256[command]
+
+
+@pytest.mark.parametrize(
+    "command, head",
+    [
+        # about 600 KB of output: the command writes again after the reader is gone
+        (("hh", "--base", "pn", "--n", "300000"), b"P^300000, "),
+        # a few lines, still buffered when the reader goes, written at the end of the run
+        (("hodge", "--base", "pn", "--n", "5"), b""),
+    ],
+)
+def test_a_reader_that_closes_stdout_early_ends_the_run_with_exit_2(command, head):
+    env = dict(os.environ, PYTHONPATH=str(Path(cycalc.__file__).resolve().parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)  # stdout to a pipe is then block-buffered
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cycalc", *command, "--construction", "divisor", "--degree", "1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.read(len(head)) == head
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert err == "error: standard output was closed before the output was complete\n"
 
 
 # ---------------------------------------------------------------------------
@@ -802,12 +867,43 @@ def test_user_catalog_not_utf8_exit_2(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "argv",
-    [("sweep", "--kinds", "triple"), ("verify", "--kinds", "divisor, triple")],
+    [
+        ("sweep", "--kinds", "triple"),
+        ("verify", "--kinds", "divisor, triple"),
+        ("case", "--base", "pn", "--n", "5", "--construction", "triple", "--degree", "1"),
+    ],
 )
 def test_unknown_kind_message_is_pinned(capsys, argv):
     code, out, err = run(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert err == "error: unknown construction 'triple'; use divisor, cover or root\n"
+    option = "--construction" if argv[0] == "case" else "--kinds"
+    assert (code, out) == (1, "")
+    assert err == usage(argv[0]) + (
+        f"error: argument {option}: unknown construction 'triple'; use divisor, cover or root\n"
+    )
+
+
+def test_weights_that_do_not_parse_are_a_usage_error(capsys):
+    code, out, err = run(
+        capsys, "case", "--base", "wpn", "--weights", "1,x", "--construction", "divisor",
+        "--degree", "1",
+    )
+    assert (code, out) == (1, "")
+    assert err == usage("case") + "error: argument --weights: cannot parse weights '1,x'\n"
+
+
+@pytest.mark.parametrize("command", ["sweep", "verify"])
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        ("--kinds", "at least one construction kind is required"),
+        ("--families", "the families filter names no base id"),
+    ],
+)
+def test_an_empty_list_flag_is_refused_like_one_naming_nothing(capsys, command, flag, message):
+    refused = (2, "", f"error: {message}\n")
+    assert run(capsys, command, flag, ",") == refused
+    assert run(capsys, command, flag, "") == refused
+    assert run(capsys, command, f"{flag}=") == refused
 
 
 @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
@@ -952,11 +1048,9 @@ def test_hostile_case_flags_exit_0_1_or_2_without_traceback(argv):
 
 def subcommand_options(command):
     """The option strings of one subcommand, as its parser declares them."""
-    parser = cli.build_parser()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     return {
         action.option_strings[0]: action
-        for action in sub.choices[command]._actions
+        for action in subparser(command)._actions
         if action.option_strings and action.dest != "help"
     }
 
@@ -968,7 +1062,7 @@ def test_every_integer_family_parameter_is_a_flag(command):
         for name in family.param_names:
             if family.id != "wpn":
                 assert options[f"--{name}"].type is int, (family.id, name)
-    assert options["--weights"].type is None  # wpn's one list-valued flag
+    assert options["--weights"].type is cli._weights  # wpn's one list-valued flag
 
 
 @pytest.mark.parametrize("fmt", ["table", "json", "csv"])

@@ -124,6 +124,11 @@ def test_repeated_kinds_count_once():
     assert len(list(iter_cases(SweepBounds(max_n=2, families=("pn",), kinds=(DIV, DIV))))) == 5
 
 
+def test_an_empty_kinds_is_refused():
+    with pytest.raises(InvalidParams, match="^at least one construction kind is required$"):
+        SweepBounds(kinds=())
+
+
 def test_family_filters_that_select_nothing_are_refused():
     with pytest.raises(UnknownBase, match="unknown base id 'nope' in the families filter"):
         SweepBounds(families=("pn", "nope"))
