@@ -154,12 +154,11 @@ def _require_params(family_id: str, params: Mapping[str, int], names: tuple[str,
 def _normalize_weights(params: Mapping[str, int]) -> tuple[int, ...]:
     if not params:
         raise InvalidParams("wpn requires at least one weight")
-    try:
-        for key in params:
-            int(key[1:])  # the weights are sorted by value, so the index is only checked
+    try:  # the weights are sorted by value, so each w<i> index is only checked
+        named = len([int(key[1:]) for key in params if key.startswith("w")]) == len(params)
     except ValueError:
-        raise InvalidParams("wpn weight parameters must be named w0, w1, ...")
-    if any(not key.startswith("w") for key in params):
+        named = False
+    if not named:
         raise InvalidParams("wpn weight parameters must be named w0, w1, ...")
     weights = tuple(sorted(params.values()))
     if len(weights) < 2:

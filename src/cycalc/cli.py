@@ -216,7 +216,7 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
         {"schema_version": records.SCHEMA_VERSION, **dict(zip(_CATALOG_FIELDS, entry))}
         for entry in entries
     ]
-    _emit(rows, args.format)
+    _emit(rows, args.format, table_columns=_CATALOG_FIELDS)
     return EXIT_OK
 
 
@@ -294,7 +294,7 @@ def _cmd_hh(args: argparse.Namespace) -> int:
         print(f"dim X = {pipeline.diamond.dim_x}")
         sys.stdout.write("middle row:")
         row = map(str, pipeline.diamond.middle_row())
-        for piece in records.bounded_join(" ", row, records.ROW_CHUNK):
+        for piece in records.bounded_join(" ", row):
             sys.stdout.write(" " + piece)
         print()
         print(f"HH(D(X)):   {pipeline.hh_total}")

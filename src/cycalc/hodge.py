@@ -357,10 +357,10 @@ def _realisation(case: CaseResult) -> _Hypersurface:
     return _Hypersurface(case.dim_x, ones, (), d)
 
 
-def diamond_for_case(case: CaseResult, table: bool = True) -> HodgeDiamond:
+def diamond_for_case(case: CaseResult) -> HodgeDiamond:
     """Diamond of the total space X of a supported case (see :func:`_realisation`),
-    sized for its whole table or, unless ``table``, the middle row that ``hh`` reads."""
-    return _diamond(_realisation(case), table)
+    sized for its whole table."""
+    return _diamond(_realisation(case))
 
 
 class HHPipelineResult(Value):
@@ -376,21 +376,21 @@ class HHPipelineResult(Value):
 def hh_pipeline(case: CaseResult) -> HHPipelineResult:
     """Diamond -> HH(D(X)) -> HH(component) -> nonvanishing check.
 
-    The case is realised first (:func:`_realisation`), so ``hh`` refuses
+    The case is realised once (:func:`_realisation`), so ``hh`` refuses
     exactly what ``hodge`` refuses, with the same message.  It then also
     refuses a realised hypersurface whose weights are not pairwise coprime:
     the Fermat member meets a stacky stratum, and the twisted sectors it adds
     to HH_0 are not modelled, so the block subtraction would be wrong.  The
     unit weights, and the weight d that a cover of P^n adds, are coprime to
-    every other weight.
+    every other weight.  The diamond is sized for the middle row it reads.
     """
-    weights = _realisation(case).weights
-    if any(gcd(a, b) > 1 for a, b in combinations(weights, 2)):
+    x = _realisation(case)
+    if any(gcd(a, b) > 1 for a, b in combinations(x.weights, 2)):
         raise HodgeUnsupported(
-            f"weights {','.join(map(str, weights))} are not pairwise coprime; "
+            f"weights {','.join(map(str, x.weights))} are not pairwise coprime; "
             "the twisted sectors of the stacky locus are not modelled"
         )
-    diamond = diamond_for_case(case, table=False)
+    diamond = _diamond(x, table=False)
     hh_x = hkr(diamond)
     hh_a = hh_component(hh_x, case.base, case.d)
     check = cy_hh_check(case, hh_a) if case.is_integer_cy else None

@@ -28,12 +28,12 @@ SCHEMA_VERSION = 1
 ROW_CHUNK = 4096
 
 
-def bounded_join(sep: str, strings: Iterable[str], size: int) -> Iterator[str]:
-    """``sep.join(strings)`` as pieces of at most ``size`` strings, built one at
-    a time; joining the pieces with ``sep`` gives the whole."""
+def bounded_join(sep: str, strings: Iterable[str]) -> Iterator[str]:
+    """``sep.join(strings)`` as pieces of at most :data:`ROW_CHUNK` strings, built
+    one at a time; joining the pieces with ``sep`` gives the whole."""
     strings = iter(strings)
     for first in strings:
-        yield sep.join(chain((first,), islice(strings, size - 1)))
+        yield sep.join(chain((first,), islice(strings, ROW_CHUNK - 1)))
 
 
 # Field order of ``case_record``; the CSV header of ``case`` and ``sweep``,
@@ -147,7 +147,7 @@ def to_json(records: Iterable[Mapping]) -> str:
     parts = [f'{{\n  "schema_version": {SCHEMA_VERSION},\n  "records": [']
     for record in records:
         parts.append(",\n    " if len(parts) > 1 else "\n    ")
-        for batch in bounded_join("", iterencode(record), ROW_CHUNK):
+        for batch in bounded_join("", iterencode(record)):
             parts.append(batch.replace("\n", "\n    "))
     parts.append("\n  ]\n}\n" if len(parts) > 1 else "]\n}\n")
     return "".join(parts)
@@ -161,7 +161,7 @@ def _csv_cell(value) -> str:
     if isinstance(value, dict):
         return ";".join(f"{k}={v}" for k, v in value.items())
     if isinstance(value, list):
-        return ";".join(bounded_join(";", map(str, value), ROW_CHUNK))
+        return ";".join(bounded_join(";", map(str, value)))
     return str(value)
 
 
@@ -189,14 +189,12 @@ def to_csv(records: Iterable[Mapping], header: Sequence[str] | None = None) -> s
     return buffer.getvalue()
 
 
-def to_table(records: Iterable[Mapping], columns: Sequence[str] | None = None) -> str:
-    """Fixed-width text table; column set defaults to the first record's keys."""
+def to_table(records: Iterable[Mapping], columns: Sequence[str]) -> str:
+    """Fixed-width text table of ``columns``."""
     records = iter(records)
     first = next(records, None)
     if first is None:
         return "(no records)\n"
-    if columns is None:
-        columns = [key for key in first if key != "schema_version"]
     rows = [
         [_csv_cell(record.get(col)) for col in columns] for record in chain((first,), records)
     ]

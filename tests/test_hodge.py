@@ -550,6 +550,33 @@ def test_hh_refuses_what_hodge_refuses_and_then_only_shared_weights():
     assert {base_id for base_id, _, _ in seen} == {"pn", "wpn", "gr", "quadric4s2"}
 
 
+@pytest.mark.parametrize(
+    "base_id, params, kind, d, error",
+    [
+        ("pn", {"n": 5}, DIV, 3, None),
+        ("pn", {"n": 5}, DIV, 1, None),
+        ("pn", {"n": 3}, COVER, 2, None),
+        ("pn", {"n": 1}, DIV, 1, InvalidParams),
+        ("pn", {"n": 3}, ConstructionKind.ROOT_STACK, 2, HodgeUnsupported),
+        ("pn", {"n": 10**7}, DIV, 1, SizeLimitExceeded),
+        ("wpn", {"w0": 1, "w1": 1, "w2": 1, "w3": 1, "w4": 2}, DIV, 6, None),
+        ("wpn", {"w0": 1, "w1": 1, "w2": 2, "w3": 2}, DIV, 4, HodgeUnsupported),
+        ("wpn", {"w0": 1, "w1": 1, "w2": 1, "w3": 3}, DIV, 4, InvalidWeights),
+    ],
+)
+def test_hh_realises_each_case_once(monkeypatch, base_id, params, kind, d, error):
+    calls = []
+    realise = hodge._realisation
+    monkeypatch.setattr(hodge, "_realisation", lambda case: calls.append(case) or realise(case))
+    case = analyze(builtin(base_id, params), kind, d)
+    if error is None:
+        hh_pipeline(case)
+    else:
+        with pytest.raises(error):
+            hh_pipeline(case)
+    assert calls == [case]
+
+
 def test_weighted_divisor_pipeline_matches_double_cover():
     # the weighted realization of a double cover gives the same diamond
     cover = pn_diamond(3, 2, COVER)

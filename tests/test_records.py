@@ -38,10 +38,11 @@ def test_json_of_a_generator_equals_the_one_shot_encoder(rows):
 
 @pytest.mark.parametrize("sep", ["", ";", " "])
 @pytest.mark.parametrize("count", [0, 1, 3, 4, 5, 9])
-def test_bounded_join_is_the_whole_join_in_pieces_of_size_strings(sep, count):
+def test_bounded_join_is_the_whole_join_in_pieces_of_size_strings(sep, count, monkeypatch):
     size = 4
+    monkeypatch.setattr(records, "ROW_CHUNK", size)
     strings = [f"s{i}" for i in range(count)]
-    pieces = list(records.bounded_join(sep, iter(strings), size))
+    pieces = list(records.bounded_join(sep, iter(strings)))
     assert sep.join(pieces) == sep.join(strings)
     assert len(pieces) == -(-count // size)  # every piece but the last holds size strings
 
@@ -78,10 +79,11 @@ def test_csv_and_table_take_any_iterable():
     assert records.to_csv(iter(rows)) == records.to_csv(rows) == (
         "schema_version,a,b\r\n1,1,\r\n1,-2,true\r\n"
     )
-    assert records.to_table(iter(rows)) == records.to_table(rows) == "a   b\n1\n-2  true\n"
+    assert records.to_table(iter(rows), ("a", "b")) == "a   b\n1\n-2  true\n"
+    assert records.to_table(rows, ("a", "b")) == "a   b\n1\n-2  true\n"
     assert records.to_csv(iter([]), ("a", "b")) == "a,b\r\n"
     assert records.to_csv(iter([])) == ""
-    assert records.to_table(iter([])) == "(no records)\n"
+    assert records.to_table(iter([]), ("a", "b")) == "(no records)\n"
 
 
 class _CountingSink:
