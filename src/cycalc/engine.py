@@ -190,11 +190,12 @@ class SweepBounds(Value):
     cases duplicate double-cover numerics with a character in place of the
     involution and are opt-in.  Weighted projective bases are likewise opt-in
     (all-ones weights duplicate ``pn`` and the weighted family is infinite in
-    spirit) and run up to weight sum ``max_weight_sum``.  A kind given twice
-    is kept once, in first-seen order; windows sweep kinds in ``ALL_KINDS``
-    order, and an empty ``kinds`` is refused.  Every id in ``families`` must
-    select something: it is a builtin family or an ``extra_bases`` id, and
-    ``wpn`` needs ``include_weighted``; an empty ``families`` is refused too.
+    spirit) and run up to weight sum ``max_weight_sum``.  ``kinds`` keeps the
+    ``ALL_KINDS`` members it names, once each and in ``ALL_KINDS`` order (the
+    order windows sweep them in); a ``kinds`` naming none is refused.  Every
+    id in ``families`` must select something: it is a builtin family or an
+    ``extra_bases`` id, and ``wpn`` needs ``include_weighted``; an empty
+    ``families`` is refused too.
     """
 
     __slots__ = (
@@ -211,9 +212,10 @@ class SweepBounds(Value):
         families: tuple[str, ...] | None = None,
         extra_bases: tuple[LefschetzBase, ...] = (),
     ) -> None:
+        named = set(kinds)
         self._set(
-            max_n, max_s, max_weight_sum, include_weighted, tuple(dict.fromkeys(kinds)),
-            families, extra_bases,
+            max_n, max_s, max_weight_sum, include_weighted,
+            tuple(kind for kind in ALL_KINDS if kind in named), families, extra_bases,
         )
         if not self.kinds:
             raise InvalidParams("at least one construction kind is required")
@@ -259,17 +261,16 @@ def iter_cases(bounds: SweepBounds) -> Iterator[CaseResult]:
     over :data:`MAX_WINDOW_CASES` is refused before any case is analysed and
     without holding the bases it counted; an admitted window is walked again.
     """
-    kinds = [kind for kind in ALL_KINDS if kind in bounds.kinds]
     cases = 0
     for base in iter_sweep_bases(bounds):
-        cases += base.length_m * len(kinds)
+        cases += base.length_m * len(bounds.kinds)
         if cases > MAX_WINDOW_CASES:
             raise SizeLimitExceeded(
                 f"the window holds more than {MAX_WINDOW_CASES:,} cases; refused "
                 f"(narrow it with --max-n, --max-s, --max-weight-sum, --kinds or --families)"
             )
     for base in iter_sweep_bases(bounds):
-        for kind in kinds:
+        for kind in bounds.kinds:
             for d in range(1, base.length_m + 1):
                 try:
                     yield analyze(base, kind, d)

@@ -36,10 +36,6 @@ class NotPureShiftable(CycalcError):
     fractional Calabi-Yau property (no power of it is a pure shift)."""
 
 
-class NotIntegerCY(CycalcError):
-    """Homology check requested for a case whose witness is fractional."""
-
-
 class InvalidWeights(CycalcError):
     """Weight system does not admit a Fermat-type member of the given degree."""
 

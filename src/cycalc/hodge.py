@@ -29,7 +29,8 @@ and semiorthogonal components subtract their exceptional blocks: each of the
 m - d induced blocks of rank r contributes r to degree 0 and nothing
 elsewhere.  A nonzero component of an n-Calabi-Yau flavor must have nonzero
 homology in degree -n (that group equals its zeroth Hochschild cohomology),
-which is the check :func:`cy_hh_check` performs.
+which is the check :func:`cy_hh_check` performs; a case that is not integer
+Calabi-Yau has no such n, and its check is ``None``.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from .errors import (
     InvalidParams,
     InvalidWeights,
     NegativeDimension,
-    NotIntegerCY,
     SizeLimitExceeded,
 )
 from .value import Value
@@ -307,15 +307,15 @@ class HHCheckReport(Value):
         return self.value == 1 if self.expect_one else None
 
 
-def cy_hh_check(case: CaseResult, hh_a: HHProfile) -> HHCheckReport:
+def cy_hh_check(case: CaseResult, hh_a: HHProfile) -> HHCheckReport | None:
     """Check HH_{-n}(component) != 0 for an integer n-Calabi-Yau case.
 
     The reported value equals the component's zeroth Hochschild cohomology.
+    A case that is not integer Calabi-Yau (a fractional witness, or an error
+    row) has no n to check: the result is ``None``.
     """
     if not case.is_integer_cy:
-        raise NotIntegerCY(
-            f"case {case.base.id} {case.kind.value} d={case.d} has no integer witness"
-        )
+        return None
     n_cy = case.witness.p
     expect_one = (
         case.base.id == "pn" and case.kind is ConstructionKind.DIVISOR and n_cy != 0
@@ -393,5 +393,4 @@ def hh_pipeline(case: CaseResult) -> HHPipelineResult:
     diamond = _diamond(x, table=False)
     hh_x = hkr(diamond)
     hh_a = hh_component(hh_x, case.base, case.d)
-    check = cy_hh_check(case, hh_a) if case.is_integer_cy else None
-    return HHPipelineResult(diamond=diamond, hh_total=hh_x, hh_component=hh_a, check=check)
+    return HHPipelineResult(diamond, hh_x, hh_a, cy_hh_check(case, hh_a))

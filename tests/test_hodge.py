@@ -18,7 +18,6 @@ from cycalc.errors import (
     InvalidParams,
     InvalidWeights,
     NegativeDimension,
-    NotIntegerCY,
     SizeLimitExceeded,
 )
 from cycalc.hodge import (
@@ -434,8 +433,25 @@ def test_cy_check_cubic_sevenfold():
 
 def test_cy_check_rejects_fractional_case():
     case = analyze(builtin("pn", {"n": 3}), DIV, 3)
-    with pytest.raises(NotIntegerCY):
-        cy_hh_check(case, HHProfile({0: 1}))
+    assert not case.is_integer_cy
+    assert cy_hh_check(case, HHProfile({0: 1})) is None
+
+
+def test_pipeline_checks_exactly_the_integer_cases():
+    """The pipeline's check is cy_hh_check's verdict, ``None`` off integer cases."""
+    bounds = SweepBounds(
+        max_n=8, max_weight_sum=9, include_weighted=True, families=("pn", "wpn")
+    )
+    seen = set()
+    for case in iter_cases(bounds):
+        try:
+            pipeline = hh_pipeline(case)
+        except CycalcError:
+            continue  # no Hodge machinery for this case
+        assert pipeline.check == cy_hh_check(case, pipeline.hh_component)
+        assert (pipeline.check is None) == (not case.is_integer_cy), case
+        seen.add((case.base.id, case.is_integer_cy))
+    assert seen == {(family, integer) for family in ("pn", "wpn") for integer in (True, False)}
 
 
 def test_pipeline_rejects_unsupported_bases():

@@ -118,15 +118,22 @@ def test_weighted_bases_opt_in():
 
 
 def test_repeated_kinds_count_once():
+    # kinds are stored once each, in sweep order, so only their set tells windows apart
     bounds = SweepBounds(max_n=4, families=("pn",), kinds=(COVER, DIV, COVER, DIV))
-    assert bounds.kinds == (COVER, DIV)
-    assert sweep(bounds) == sweep(SweepBounds(max_n=4, families=("pn",), kinds=(DIV, COVER)))
+    assert bounds.kinds == (DIV, COVER)
+    in_order = SweepBounds(max_n=4, families=("pn",), kinds=(DIV, COVER))
+    assert bounds == in_order and hash(bounds) == hash(in_order)
+    assert sweep(bounds) == sweep(in_order)
+    assert SweepBounds(kinds=iter((COVER, DIV))).kinds == (DIV, COVER)
     assert len(list(iter_cases(SweepBounds(max_n=2, families=("pn",), kinds=(DIV, DIV))))) == 5
 
 
 def test_an_empty_kinds_is_refused():
     with pytest.raises(InvalidParams, match="^at least one construction kind is required$"):
         SweepBounds(kinds=())
+    # a name is not a kind, so a kinds of names selects nothing either
+    with pytest.raises(InvalidParams, match="^at least one construction kind is required$"):
+        SweepBounds(kinds=("divisor",))
 
 
 def test_family_filters_that_select_nothing_are_refused():
