@@ -154,11 +154,7 @@ def _require_params(family_id: str, params: Mapping[str, int], names: tuple[str,
 def _normalize_weights(params: Mapping[str, int]) -> tuple[int, ...]:
     if not params:
         raise InvalidParams("wpn requires at least one weight")
-    try:  # the weights are sorted by value, so each w<i> index is only checked
-        named = len([int(key[1:]) for key in params if key.startswith("w")]) == len(params)
-    except ValueError:
-        named = False
-    if not named:
+    if set(params) != {f"w{i}" for i in range(len(params))}:
         raise InvalidParams("wpn weight parameters must be named w0, w1, ...")
     weights = tuple(sorted(params.values()))
     if len(weights) < 2:

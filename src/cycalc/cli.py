@@ -196,27 +196,9 @@ def _add_bounds_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-_CATALOG_FIELDS = (
-    "id", "display_name", "parameters", "dim_m", "length_m", "rank_b", "line_bundle",
-    "omega_is_l_minus_m",
-)
-
-
 def _cmd_catalog(args: argparse.Namespace) -> int:
-    entries = [
-        (f.id, f.display_name, ",".join(f.param_names), f.dim_formula, f.length_formula,
-         f.rank_formula, f.line_bundle_note, True)
-        for f in FAMILIES.values()
-    ] + [
-        (b.id, b.display_name, ",".join(f"{k}={v}" for k, v in sorted(b.parameters)),
-         str(b.dim_m), str(b.length_m), str(b.rank_b), b.line_bundle_note, b.omega_is_l_minus_m)
-        for b in _user_bases()
-    ]
-    rows = [
-        {"schema_version": records.SCHEMA_VERSION, **dict(zip(_CATALOG_FIELDS, entry))}
-        for entry in entries
-    ]
-    _emit(rows, args.format, table_columns=_CATALOG_FIELDS)
+    rows = records.catalog_records(FAMILIES.values(), _user_bases())
+    _emit(rows, args.format, table_columns=records.CATALOG_FIELDS)
     return EXIT_OK
 
 

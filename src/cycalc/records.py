@@ -1,5 +1,9 @@
 """Flat output records and rendering (table / JSON / CSV).
 
+This module holds the schema of every output row: the case record of
+``case`` and ``sweep``, the ``hodge`` and ``hh`` records and the ``catalog``
+listing.  A case record's fields are stated once, in ``_CASE_COLUMNS``.
+
 Every JSON payload is one object {"schema_version": 1, "records": [...]} and
 every record repeats the schema_version field; record field order is fixed so
 repeated runs serialize byte-identically.  CSV uses RFC 4180 quoting with a
@@ -14,9 +18,10 @@ on every row.
 from __future__ import annotations
 
 from itertools import chain, islice
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 if TYPE_CHECKING:
+    from .catalog import Family, LefschetzBase
     from .engine import CaseResult
     from .hodge import HHPipelineResult, HodgeDiamond
 
@@ -36,75 +41,69 @@ def bounded_join(sep: str, strings: Iterable[str]) -> Iterator[str]:
         yield sep.join(chain((first,), islice(strings, ROW_CHUNK - 1)))
 
 
-# Field order of ``case_record``; the CSV header of ``case`` and ``sweep``,
-# printed even when a sweep has no records.
-CASE_FIELDS = (
-    "schema_version",
-    "base_id",
-    "base",
-    "params",
-    "dim_m",
-    "length_m",
-    "rank_b",
-    "construction",
-    "degree",
-    "c",
-    "power",
-    "shift",
-    "ltwist",
-    "tau",
-    "chi",
-    "serre_power",
-    "witness_p",
-    "witness_q",
-    "cy_dimension",
-    "is_integer_cy",
-    "component_is_whole",
-    "dim_x",
-    "error",
+def _of(part: str, attr: str) -> Callable[[CaseResult], object]:
+    """A reader of ``case.<part>.<attr>``; it reads ``None`` where ``case.<part>`` is
+    ``None``, as on an error row."""
+    return lambda case: None if (value := getattr(case, part)) is None else getattr(value, attr)
+
+
+def _serre_power(case: CaseResult) -> str | None:
+    return None if case.serre_power_nf is None else f"S^{case.power} = {case.serre_power_nf}"
+
+
+def _cy_dimension(case: CaseResult) -> str | None:
+    return None if case.witness is None else str(case.cy_dimension)
+
+
+#: The one statement of a case record: each field in record order, how it is
+#: read from a ``CaseResult``, and whether the text table shows it.  An error
+#: row reads ``None`` for every field of the normal form and the witness.
+_CASE_COLUMNS: tuple[tuple[str, Callable[[CaseResult], object], bool], ...] = (
+    ("schema_version", lambda case: SCHEMA_VERSION, False),
+    ("base_id", lambda case: case.base.id, False),
+    ("base", lambda case: case.base.display_name, True),
+    ("params", lambda case: dict(case.base.parameters), True),
+    ("dim_m", lambda case: case.base.dim_m, False),
+    ("length_m", lambda case: case.base.length_m, False),
+    ("rank_b", lambda case: case.base.rank_b, False),
+    ("construction", lambda case: case.kind.value, True),
+    ("degree", lambda case: case.d, True),
+    ("c", lambda case: case.c, False),
+    ("power", lambda case: case.power, False),
+    ("shift", _of("serre_power_nf", "shift"), False),
+    ("ltwist", _of("serre_power_nf", "ltwist"), False),
+    ("tau", _of("serre_power_nf", "tau"), False),
+    ("chi", _of("serre_power_nf", "chi"), False),
+    ("serre_power", _serre_power, True),
+    ("witness_p", _of("witness", "p"), True),
+    ("witness_q", _of("witness", "q"), True),
+    ("cy_dimension", _cy_dimension, True),
+    ("is_integer_cy", lambda case: case.is_integer_cy, True),
+    ("component_is_whole", lambda case: case.component_is_whole, True),
+    ("dim_x", lambda case: case.dim_x, True),
+    ("error", lambda case: case.error, True),
 )
 
+#: Field order of ``case_record``; the CSV header of ``case`` and ``sweep``,
+#: printed even when a sweep has no records.
+CASE_FIELDS = tuple(name for name, _, _ in _CASE_COLUMNS)
+#: The columns of the ``case`` and ``sweep`` text table.
+CASE_TABLE_COLUMNS = tuple(name for name, _, shown in _CASE_COLUMNS if shown)
+#: The fields that open every record about one case (schema, base id, base, params).
+_CASE_HEADER = _CASE_COLUMNS[:4]
 
-def _case_header(case: CaseResult) -> dict:
-    """The fields that open every record about one case."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "base_id": case.base.id,
-        "base": case.base.display_name,
-        "params": dict(case.base.parameters),
-    }
+
+def _read(case: CaseResult, columns: Iterable[tuple[str, Callable, bool]]) -> dict:
+    return {name: read(case) for name, read, _ in columns}
 
 
 def case_record(case: CaseResult) -> dict:
-    witness = case.witness
-    nf = case.serre_power_nf
-    return {
-        **_case_header(case),
-        "dim_m": case.base.dim_m,
-        "length_m": case.base.length_m,
-        "rank_b": case.base.rank_b,
-        "construction": case.kind.value,
-        "degree": case.d,
-        "c": case.c,
-        "power": case.power,
-        "shift": nf.shift if nf else None,
-        "ltwist": nf.ltwist if nf else None,
-        "tau": nf.tau if nf else None,
-        "chi": nf.chi if nf else None,
-        "serre_power": f"S^{case.power} = {nf}" if nf else None,
-        "witness_p": witness.p if witness else None,
-        "witness_q": witness.q if witness else None,
-        "cy_dimension": str(case.cy_dimension) if witness else None,
-        "is_integer_cy": case.is_integer_cy,
-        "component_is_whole": case.component_is_whole,
-        "dim_x": case.dim_x,
-        "error": case.error,
-    }
+    return _read(case, _CASE_COLUMNS)
 
 
 def hodge_record(case: CaseResult, diamond: HodgeDiamond) -> dict:
     return {
-        **_case_header(case),
+        **_read(case, _CASE_HEADER),
         "construction": case.kind.value,
         "degree": case.d,
         "dim_x": diamond.dim_x,
@@ -116,14 +115,14 @@ def hodge_record(case: CaseResult, diamond: HodgeDiamond) -> dict:
 def hh_record(case: CaseResult, pipeline: HHPipelineResult) -> dict:
     check = pipeline.check
     return {
-        **_case_header(case),
+        **_read(case, _CASE_HEADER),
         "construction": case.kind.value,
         "degree": case.d,
         "dim_x": pipeline.diamond.dim_x,
         "middle_row": list(pipeline.diamond.middle_row()),
         "hh_total": {str(k): v for k, v in pipeline.hh_total.dims.items()},
         "hh_component": {str(k): v for k, v in pipeline.hh_component.dims.items()},
-        "cy_dimension": str(case.cy_dimension) if case.witness else None,
+        "cy_dimension": _cy_dimension(case),
         "is_integer_cy": case.is_integer_cy,
         "check_n_cy": check.n_cy if check else None,
         "check_value": check.value if check else None,
@@ -131,6 +130,35 @@ def hh_record(case: CaseResult, pipeline: HHPipelineResult) -> dict:
         "check_expect_one": check.expect_one if check else None,
         "check_passed": check.nonvanishing if check else None,
     }
+
+
+#: The fields of a ``catalog`` row after ``schema_version``; the columns of its table.
+CATALOG_FIELDS = (
+    "id", "display_name", "parameters", "dim_m", "length_m", "rank_b", "line_bundle",
+    "omega_is_l_minus_m",
+)
+
+
+def catalog_records(
+    families: Iterable[Family], bases: Iterable[LefschetzBase]
+) -> Iterator[dict]:
+    """The ``catalog`` listing: each builtin family with its parameter names and
+    formulas, then each user base with its parameter values and numbers."""
+    entries = chain(
+        (
+            (f.id, f.display_name, ",".join(f.param_names), f.dim_formula, f.length_formula,
+             f.rank_formula, f.line_bundle_note, True)
+            for f in families
+        ),
+        (
+            (b.id, b.display_name, ",".join(f"{k}={v}" for k, v in sorted(b.parameters)),
+             str(b.dim_m), str(b.length_m), str(b.rank_b), b.line_bundle_note,
+             b.omega_is_l_minus_m)
+            for b in bases
+        ),
+    )
+    for entry in entries:
+        yield {"schema_version": SCHEMA_VERSION, **dict(zip(CATALOG_FIELDS, entry))}
 
 
 def to_json(records: Iterable[Mapping]) -> str:
@@ -206,18 +234,3 @@ def to_table(records: Iterable[Mapping], columns: Sequence[str]) -> str:
         lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
     return "\n".join(line.rstrip() for line in lines) + "\n"
 
-
-CASE_TABLE_COLUMNS = (
-    "base",
-    "params",
-    "construction",
-    "degree",
-    "serre_power",
-    "witness_p",
-    "witness_q",
-    "cy_dimension",
-    "is_integer_cy",
-    "component_is_whole",
-    "dim_x",
-    "error",
-)

@@ -138,6 +138,10 @@ def test_invalid_params(family, params):
         ("g2gr", {"s": 1}, "g2gr got unexpected parameters s"),
         ("gr26_L2", {"n": 6, "k": 2}, "gr26_L2 got unexpected parameters k, n"),
         ("p3xp3", {"n": 3}, "p3xp3 got unexpected parameters n"),
+        ("wpn", {"w0": 1, "w00": 2, "w1": 3}, "wpn weight parameters must be named w0, w1, ..."),
+        ("wpn", {"w-1": 1, "w7": 2, "w3": 3}, "wpn weight parameters must be named w0, w1, ..."),
+        ("wpn", {"w0": 1, "w 1": 2, "w2": 1}, "wpn weight parameters must be named w0, w1, ..."),
+        ("wpn", {0: 1, 1: 2}, "wpn weight parameters must be named w0, w1, ..."),
     ],
 )
 def test_invalid_params_messages(family, params, message):

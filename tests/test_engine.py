@@ -6,10 +6,12 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cycalc import engine
 from cycalc.autoeq import Generator, NormalForm
-from cycalc.catalog import _weight_multisets, builtin
+from cycalc.catalog import LefschetzBase, _weight_multisets, builtin
 from cycalc.constructions import ALL_KINDS, ConstructionKind, substitution_table
 from cycalc.engine import (
     FractionalCYWitness,
@@ -372,3 +374,43 @@ def test_refused_window_holds_no_base(monkeypatch):
         monkeypatch.setattr(engine, "MAX_WINDOW_CASES", 2 * max_s)
         peaks[max_s] = _refusal_peak(max_s)
     assert peaks[20_000] < peaks[2_000] + 100_000, peaks
+
+
+def _numerics(base, kind, d):
+    case = analyze(base, kind, d)
+    return case.serre_power_nf, case.witness, case.dim_x
+
+
+def _outcome(compute, base, kind, d):
+    """What ``compute`` gives on the case, or the class of what it raises (the
+    message names the base, so it is not compared)."""
+    try:
+        return compute(base, kind, d)
+    except Exception as exc:
+        return type(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    dim_m=st.integers(0, 30),
+    length_m=st.integers(1, 24),
+    omega_is_l_minus_m=st.booleans(),
+    chi_stable=st.booleans(),
+    ranks=st.lists(st.integers(1, 10**6), min_size=2, max_size=2, unique=True),
+)
+def test_numerics_depend_only_on_the_signature(
+    dim_m, length_m, omega_is_l_minus_m, chi_stable, ranks
+):
+    # dim M, m, omega_M = L^-m and chi-stability fix every case: the id, the
+    # name, the parameters and the block rank rk B do not enter
+    one, other = (
+        LefschetzBase(
+            f"base{i}", f"base number {i}", dim_m, length_m, rank, "O(1)",
+            omega_is_l_minus_m, {f"p{i}": rank}, chi_stable,
+        )
+        for i, rank in enumerate(ranks)
+    )
+    for kind in ALL_KINDS:
+        for d in range(1, length_m + 1):
+            for compute in (_numerics, closed_form):
+                assert _outcome(compute, one, kind, d) == _outcome(compute, other, kind, d)

@@ -273,6 +273,43 @@ def test_every_pn_case_is_its_weighted_hypersurface():
             assert pn_diamond(n, d, COVER) == cover
 
 
+def _wpn_diamond(weights, degree):
+    params = {f"w{i}": w for i, w in enumerate(weights)}
+    return diamond_for_case(analyze(builtin("wpn", params), DIV, degree))
+
+
+def test_every_fermat_wpn_divisor_is_its_weighted_hypersurface():
+    compared = 0
+    for weights in _weight_multisets(9):
+        for degree in range(weights[-1] + 1, sum(weights) + 1):
+            if len(weights) >= 3 and all(degree % w == 0 for w in weights):
+                diamond = weighted_hypersurface_diamond(weights, degree)
+                assert diamond == _wpn_diamond(weights, degree)
+                compared += 1
+    assert compared >= 50, compared
+
+
+def _refusal(diamond, weights, degree):
+    with pytest.raises(CycalcError) as err:
+        diamond(weights, degree)
+    return type(err.value), str(err.value)
+
+
+@pytest.mark.parametrize(
+    "weights, degree, error",
+    [
+        ((1, 1, 1, 2), 3, InvalidWeights),  # 2 does not divide 3
+        ((1, 2, 3), 4, InvalidWeights),  # 3 does not divide 4
+        ((1, 2), 2, InvalidParams),  # fewer than three weights
+        ((1, 1), 2, InvalidParams),
+    ],
+)
+def test_weighted_hypersurface_refuses_what_hodge_refuses(weights, degree, error):
+    refusal = _refusal(weighted_hypersurface_diamond, weights, degree)
+    assert refusal == _refusal(_wpn_diamond, weights, degree)
+    assert refusal[0] is error
+
+
 def test_diamond_symmetries_hold_for_a_sweep():
     for n in range(2, 8):
         for d in range(1, n + 2):

@@ -65,13 +65,27 @@ def test_case_record_fields_are_case_fields():
 
 
 def test_error_row_fields_are_case_fields():
-    # a key added to only one of the two would silently drop out of CSV
+    # an error row keeps every field, so the CSV header still names its cells
     flat = LefschetzBase("flat", "flat", 3, 4, 1, "O(1)", omega_is_l_minus_m=False)
     case, *_ = sweep(SweepBounds(families=("flat",), extra_bases=(flat,)))
     assert case.error is not None
     row = records.case_record(case)
     assert tuple(row) == records.CASE_FIELDS
     assert row["cy_dimension"] is None
+
+
+def test_hodge_and_hh_records_open_like_the_case_record():
+    from cycalc.hodge import diamond_for_case, hh_pipeline
+
+    base = builtin("wpn", {"w0": 1, "w1": 1, "w2": 1, "w3": 1, "w4": 2})
+    case = analyze(base, ConstructionKind.DIVISOR, 4)
+    opening = list(records.case_record(case).items())[:4]
+    assert [name for name, _ in opening] == ["schema_version", "base_id", "base", "params"]
+    for row in (
+        records.hodge_record(case, diamond_for_case(case)),
+        records.hh_record(case, hh_pipeline(case)),
+    ):
+        assert list(row.items())[:4] == opening
 
 
 def test_csv_and_table_take_any_iterable():
