@@ -41,6 +41,8 @@ EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 EXIT_INTERNAL = 3
 
+_KIND_NAMES = ",".join(kind.value for kind in ALL_KINDS)
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
@@ -121,16 +123,11 @@ def _resolve_base(args: argparse.Namespace) -> LefschetzBase:
     return builtin(args.base, params)
 
 
-def _bounds(args: argparse.Namespace, default_kinds: tuple[ConstructionKind, ...]) -> SweepBounds:
-    return SweepBounds(
-        max_n=args.max_n,
-        max_s=args.max_s,
-        max_weight_sum=args.max_weight_sum,
-        include_weighted=args.include_weighted,
-        kinds=default_kinds if args.kinds is None else args.kinds,
-        families=args.families,
-        extra_bases=_user_bases(),
-    )
+def _bounds(args: argparse.Namespace, **defaults) -> SweepBounds:
+    """The window of the flags given, over ``defaults`` and then SweepBounds' own."""
+    given = vars(args)  # each window flag is named after its field
+    flags = {name: given[name] for name in SweepBounds.__slots__ if given.get(name) is not None}
+    return SweepBounds(**{**defaults, **flags}, extra_bases=_user_bases())
 
 
 def _emit(rows: Iterable[dict], fmt: str, fields=None, table_columns=None) -> None:
@@ -159,7 +156,7 @@ def _add_base_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--construction",
         type=_kind,
-        metavar="{" + ",".join(kind.value for kind in ALL_KINDS) + "}",
+        metavar="{" + _KIND_NAMES + "}",
         required=True,
         help="spherical construction",
     )
@@ -167,33 +164,24 @@ def _add_base_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_bounds_args(parser: argparse.ArgumentParser) -> None:
-    defaults = SweepBounds()
+    # no defaults: an absent flag is None, and SweepBounds fills it in
+    parser.add_argument("--max-n", type=int, help="ceiling for n-type parameters")
+    parser.add_argument("--max-s", type=int, help="ceiling for the quadric parameter")
     parser.add_argument(
-        "--max-n", type=int, default=defaults.max_n, help="ceiling for n-type parameters"
-    )
-    parser.add_argument(
-        "--max-s", type=int, default=defaults.max_s, help="ceiling for the quadric parameter"
-    )
-    parser.add_argument(
-        "--max-weight-sum",
-        type=int,
-        default=defaults.max_weight_sum,
-        help="weight-sum ceiling for weighted sweeps",
+        "--max-weight-sum", type=int, help="weight-sum ceiling for weighted sweeps"
     )
     parser.add_argument(
         "--include-weighted",
         action="store_true",
+        default=None,
         help="enumerate weighted projective bases (off by default)",
     )
     parser.add_argument(
         "--kinds",
         type=_kinds,
-        default=None,
-        help="comma-separated constructions to sweep (divisor,cover,root)",
+        help=f"comma-separated constructions to sweep ({_KIND_NAMES})",
     )
-    parser.add_argument(
-        "--families", type=_names, default=None, help="restrict the sweep to these base ids"
-    )
+    parser.add_argument("--families", type=_names, help="restrict the sweep to these base ids")
 
 
 def _cmd_catalog(args: argparse.Namespace) -> int:
@@ -218,8 +206,7 @@ def _cmd_case(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    bounds = _bounds(args, default_kinds=SweepBounds().kinds)
-    results = sweep(bounds, cy_dim=args.cy_dim, integer_only=args.integer)
+    results = sweep(_bounds(args), cy_dim=args.cy_dim, integer_only=args.integer)
     _emit(
         (records.case_record(c) for c in results),
         args.format,
@@ -230,7 +217,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    report = verify_cross_check(_bounds(args, default_kinds=ALL_KINDS))
+    report = verify_cross_check(_bounds(args, kinds=ALL_KINDS))
     if not report.cases:
         raise CycalcError("the verify window holds no case, so nothing was compared")
     if not report.compared:

@@ -23,6 +23,8 @@ import cycalc
 from cycalc import cli
 from cycalc.catalog import FAMILIES, builtin
 from cycalc.constructions import ALL_KINDS, ConstructionKind
+from cycalc.engine import SweepBounds
+from cycalc.errors import CycalcError
 from cycalc.records import CASE_FIELDS, SCHEMA_VERSION
 from reference import catalog_record, catalog_text, json_payload
 
@@ -374,6 +376,70 @@ def test_verify_rejects_format_as_usage_error(capsys):
     assert "unrecognized arguments: --format json" in err
 
 
+# ---------------------------------------------------------------------------
+# window flags: each names a SweepBounds field, and SweepBounds holds the defaults
+# ---------------------------------------------------------------------------
+
+
+#: The window each command sweeps when no window flag is given.
+WINDOW_DEFAULTS = {"sweep": SweepBounds(), "verify": SweepBounds(kinds=ALL_KINDS)}
+
+#: One window flag, its value on the command line and the field value it sets.
+WINDOW_FLAG_VALUES = [
+    (("--max-n", "7"), "max_n", 7),
+    (("--max-s", "2"), "max_s", 2),
+    (("--max-weight-sum", "9"), "max_weight_sum", 9),
+    (("--include-weighted",), "include_weighted", True),
+    (("--kinds", "root"), "kinds", (ConstructionKind.ROOT_STACK,)),
+    (("--families", "pn"), "families", ("pn",)),
+]
+
+
+def window_of(monkeypatch, capsys, command, *flags):
+    """The ``SweepBounds`` that ``command`` hands the engine for its window ``flags``."""
+    monkeypatch.delenv("CYCALC_CATALOG", raising=False)
+    seen = []
+
+    def capture(bounds, **_):
+        seen.append(bounds)
+        raise CycalcError("captured")
+
+    monkeypatch.setattr(cli, "sweep" if command == "sweep" else "verify_cross_check", capture)
+    assert run(capsys, command, *flags) == (2, "", "error: captured\n")
+    (bounds,) = seen
+    return bounds
+
+
+def test_every_window_flag_names_a_sweep_bounds_field():
+    parser = argparse.ArgumentParser()
+    cli._add_bounds_args(parser)
+    window = [action for action in parser._actions if action.dest != "help"]
+    assert {action.dest for action in window} <= set(SweepBounds.__slots__)
+    assert sorted(action.dest for action in window) == sorted(
+        field for _, field, _ in WINDOW_FLAG_VALUES
+    )
+    # an absent flag is None, so SweepBounds fills in its own default
+    assert all(action.default is None for action in window)
+
+
+@pytest.mark.parametrize("command", list(WINDOW_DEFAULTS))
+def test_no_window_flag_gives_the_library_window(monkeypatch, capsys, command):
+    assert window_of(monkeypatch, capsys, command) == WINDOW_DEFAULTS[command]
+
+
+@pytest.mark.parametrize("command", list(WINDOW_DEFAULTS))
+@pytest.mark.parametrize(
+    "flag, field, value", WINDOW_FLAG_VALUES, ids=[flag[0] for flag, _, _ in WINDOW_FLAG_VALUES]
+)
+def test_a_window_flag_alone_changes_only_its_own_field(
+    monkeypatch, capsys, command, flag, field, value
+):
+    default = WINDOW_DEFAULTS[command]
+    expected = {name: getattr(default, name) for name in SweepBounds.__slots__}
+    expected[field] = value
+    assert window_of(monkeypatch, capsys, command, *flag) == SweepBounds(**expected)
+
+
 def test_case_json_keeps_twelve_weights_in_index_order(capsys):
     weights = ",".join(str(w) for w in range(12, 0, -1))
     code, out, _ = run(
@@ -415,6 +481,35 @@ STDOUT_SHA256 = [
             "--construction", "divisor", "--degree", "3", "--format", "json",
         ),
         "1c08df649f986c47bfe3e505836e9e90dd40e394c205a6fb39066dfa4f6a6782",
+    ),
+    # the hh text table: a PASS with the one-dimensionality line, a FAIL, a
+    # skipped check and a weighted PASS without the one-dimensionality line
+    (
+        ("hh", "--base", "pn", "--n", "5", "--construction", "divisor", "--degree", "3"),
+        "cf8d994f77e031a01590f10e715c9e13ae9fb3c4603586d84bc25dd7b11c66a9",
+    ),
+    (
+        ("hh", "--base", "pn", "--n", "4", "--construction", "divisor", "--degree", "1"),
+        "f8e9a6999228fddfdb4713cd9a1355f1fccb2ffa3092c29b2f9a1e50a15cb51b",
+    ),
+    (
+        ("hh", "--base", "pn", "--n", "5", "--construction", "divisor", "--degree", "4"),
+        "442ae3fb0938ba9dd647c8008b5800bb6577f10295c64bdf200065ff26258c15",
+    ),
+    (
+        (
+            "hh", "--base", "wpn", "--weights", "1,1,1,1,2",
+            "--construction", "divisor", "--degree", "6",
+        ),
+        "ec4ab45bb1c0ab3c363908d7d67dd83407da826f18fbacf42761e9bc9acf3a27",
+    ),
+    # the same case's hodge table is a HODGE_MATRIX row
+    (
+        (
+            "hodge", "--base", "pn", "--n", "5",
+            "--construction", "divisor", "--degree", "3", "--format", "csv",
+        ),
+        "a0fcd48b0a038be12dae8abbccb5f76692b879887fd1f4e5c51bfa08fcc5d99b",
     ),
 ]
 
@@ -858,6 +953,16 @@ def test_user_catalog_not_utf8_exit_2(tmp_path, capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {path}: catalog is not UTF-8 text")
+
+
+def test_a_user_base_takes_no_family_parameters_exit_2(tmp_path, capsys, monkeypatch):
+    write_user_catalog(tmp_path, monkeypatch, "mybase")
+    code, out, err = run(
+        capsys, "case", "--base", "mybase", "--n", "3",
+        "--construction", "divisor", "--degree", "1",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: user base 'mybase' takes no family parameters\n"
 
 
 # ---------------------------------------------------------------------------
