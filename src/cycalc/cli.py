@@ -195,24 +195,17 @@ def _analyze_args(args: argparse.Namespace) -> CaseResult:
     return analyze(_resolve_base(args), args.construction, args.degree)
 
 
+def _emit_cases(cases: Iterable[CaseResult], fmt: str) -> None:
+    _emit(map(records.case_record, cases), fmt, records.CASE_FIELDS, records.CASE_TABLE_COLUMNS)
+
+
 def _cmd_case(args: argparse.Namespace) -> int:
-    _emit(
-        [records.case_record(_analyze_args(args))],
-        args.format,
-        records.CASE_FIELDS,
-        records.CASE_TABLE_COLUMNS,
-    )
+    _emit_cases([_analyze_args(args)], args.format)
     return EXIT_OK
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    results = sweep(_bounds(args), cy_dim=args.cy_dim, integer_only=args.integer)
-    _emit(
-        (records.case_record(c) for c in results),
-        args.format,
-        records.CASE_FIELDS,
-        records.CASE_TABLE_COLUMNS,
-    )
+    _emit_cases(sweep(_bounds(args), cy_dim=args.cy_dim, integer_only=args.integer), args.format)
     return EXIT_OK
 
 
@@ -225,16 +218,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             f"none of the {report.cases} cases of the verify window exists on its base, "
             "so nothing was compared"
         )
-    print(f"{len(report.mismatches)} mismatches / {report.cases} cases")
-    for base_id, params, kind, d in report.mismatches:
-        print(f"  MISMATCH {base_id} {params} {kind} d={d}")
-    hyperplane_only = all(
-        case.kind is ConstructionKind.DIVISOR and case.d == 1 for case in report.negatives
-    )
-    print(
-        f"nonnegativity: {len(report.negatives)} integer cases with negative dimension, "
-        f"all hyperplane-type (divisor, d=1): {'yes' if hyperplane_only else 'NO'}"
-    )
+    sys.stdout.writelines(records.verify_report(report))
     return EXIT_OK if report.ok else EXIT_INTERNAL
 
 
@@ -244,12 +228,9 @@ def _cmd_hodge(args: argparse.Namespace) -> int:
     case = _analyze_args(args)
     diamond = diamond_for_case(case)
     if args.format == "table":
-        print(f"{case.base.display_name}, {case.kind.value} of degree {case.d}: "
-              f"dim X = {diamond.dim_x}")
-        for row in diamond.hodge:
-            print(" ".join(map(str, row)))
-        return EXIT_OK
-    _emit([records.hodge_record(case, diamond)], args.format)
+        sys.stdout.writelines(records.hodge_table(case, diamond))
+    else:
+        _emit([records.hodge_record(case, diamond)], args.format)
     return EXIT_OK
 
 
@@ -259,29 +240,9 @@ def _cmd_hh(args: argparse.Namespace) -> int:
     case = _analyze_args(args)
     pipeline = hh_pipeline(case)
     if args.format == "table":
-        print(f"{case.base.display_name}, {case.kind.value} of degree {case.d}")
-        print(f"dim X = {pipeline.diamond.dim_x}")
-        sys.stdout.write("middle row:")
-        row = map(str, pipeline.diamond.middle_row())
-        for piece in records.bounded_join(" ", row):
-            sys.stdout.write(" " + piece)
-        print()
-        print(f"HH(D(X)):   {pipeline.hh_total}")
-        print(f"HH(comp.):  {pipeline.hh_component}")
-        check = pipeline.check
-        if check is None:
-            print("homology check: skipped (component is not an integer Calabi-Yau case)")
-        else:
-            status = "PASS" if check.nonvanishing else "FAIL"
-            print(
-                f"homology check: HH_{-check.n_cy}(component) = {check.value} "
-                f"(nonzero required) -> {status}"
-            )
-            if check.expect_one:
-                print(f"one-dimensionality (projective-space hypersurface): value == 1 -> "
-                      f"{'PASS' if check.is_one else 'FAIL'}")
-        return EXIT_OK
-    _emit([records.hh_record(case, pipeline)], args.format)
+        sys.stdout.writelines(records.hh_table(case, pipeline))
+    else:
+        _emit([records.hh_record(case, pipeline)], args.format)
     return EXIT_OK
 
 
@@ -332,6 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Parse, dispatch and map the outcome to an exit code; ``records`` renders all output."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

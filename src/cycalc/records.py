@@ -1,18 +1,19 @@
 """Flat output records and rendering (table / JSON / CSV).
 
-This module holds the schema of every output row: the case record of
-``case`` and ``sweep``, the ``hodge`` and ``hh`` records and the ``catalog``
-listing.  A case record's fields are stated once, in ``_CASE_COLUMNS``.
+This module renders every byte a command prints: the schema of every output
+row (the case record of ``case`` and ``sweep``, the ``hodge`` and ``hh``
+records, the ``catalog`` listing), the ``hodge`` and ``hh`` tables and the
+``verify`` report.  A case record's fields are stated once, in ``_CASE_COLUMNS``.
 
 Every JSON payload is one object {"schema_version": 1, "records": [...]} and
 every record repeats the schema_version field; record field order is fixed so
 repeated runs serialize byte-identically.  CSV uses RFC 4180 quoting with a
 header row.
 
-The renderers take any iterable of records.  JSON and CSV encode one record
-at a time, so a caller may pass a generator and no more than one record dict
-is alive at once; the table keeps its cells, because the column widths depend
-on every row.
+``to_json``, ``to_csv`` and ``to_table`` take any iterable of records.  JSON
+and CSV encode one record at a time, so a caller may pass a generator and no
+more than one record dict is alive at once; the table keeps its cells,
+because the column widths depend on every row.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequenc
 
 if TYPE_CHECKING:
     from .catalog import Family, LefschetzBase
-    from .engine import CaseResult
+    from .engine import CaseResult, VerifyReport
     from .hodge import HHPipelineResult, HodgeDiamond
 
 SCHEMA_VERSION = 1
@@ -89,8 +90,8 @@ _CASE_COLUMNS: tuple[tuple[str, Callable[[CaseResult], object], bool], ...] = (
 CASE_FIELDS = tuple(name for name, _, _ in _CASE_COLUMNS)
 #: The columns of the ``case`` and ``sweep`` text table.
 CASE_TABLE_COLUMNS = tuple(name for name, _, shown in _CASE_COLUMNS if shown)
-#: The fields that open every record about one case (schema, base id, base, params).
-_CASE_HEADER = _CASE_COLUMNS[:4]
+#: The fields every ``hodge`` and ``hh`` record opens with: schema to params, construction, degree.
+_CASE_HEADER = _CASE_COLUMNS[:4] + _CASE_COLUMNS[7:9]
 
 
 def _read(case: CaseResult, columns: Iterable[tuple[str, Callable, bool]]) -> dict:
@@ -104,8 +105,6 @@ def case_record(case: CaseResult) -> dict:
 def hodge_record(case: CaseResult, diamond: HodgeDiamond) -> dict:
     return {
         **_read(case, _CASE_HEADER),
-        "construction": case.kind.value,
-        "degree": case.d,
         "dim_x": diamond.dim_x,
         "hodge": [list(r) for r in diamond.hodge],
         "middle_row": list(diamond.middle_row()),
@@ -116,8 +115,6 @@ def hh_record(case: CaseResult, pipeline: HHPipelineResult) -> dict:
     check = pipeline.check
     return {
         **_read(case, _CASE_HEADER),
-        "construction": case.kind.value,
-        "degree": case.d,
         "dim_x": pipeline.diamond.dim_x,
         "middle_row": list(pipeline.diamond.middle_row()),
         "hh_total": {str(k): v for k, v in pipeline.hh_total.dims.items()},
@@ -130,6 +127,48 @@ def hh_record(case: CaseResult, pipeline: HHPipelineResult) -> dict:
         "check_expect_one": check.expect_one if check else None,
         "check_passed": check.nonvanishing if check else None,
     }
+
+
+def _title(case: CaseResult) -> str:
+    """The line that opens the ``hodge`` and ``hh`` tables."""
+    return f"{case.base.display_name}, {case.kind.value} of degree {case.d}"
+
+
+def hodge_table(case: CaseResult, diamond: HodgeDiamond) -> Iterator[str]:
+    """The ``hodge`` text table, one line at a time."""
+    yield f"{_title(case)}: dim X = {diamond.dim_x}\n"
+    yield from (" ".join(map(str, row)) + "\n" for row in diamond.hodge)
+
+
+def hh_table(case: CaseResult, pipeline: HHPipelineResult) -> Iterator[str]:
+    """The ``hh`` text table in pieces, its middle row :data:`ROW_CHUNK` values at a time."""
+    yield f"{_title(case)}\ndim X = {pipeline.diamond.dim_x}\nmiddle row:"
+    for piece in bounded_join(" ", map(str, pipeline.diamond.middle_row())):
+        yield " " + piece
+    yield f"\nHH(D(X)):   {pipeline.hh_total}\nHH(comp.):  {pipeline.hh_component}\n"
+    check = pipeline.check
+    if check is None:
+        yield "homology check: skipped (component is not an integer Calabi-Yau case)\n"
+        return
+    yield (f"homology check: HH_{-check.n_cy}(component) = {check.value} "
+           f"(nonzero required) -> {'PASS' if check.nonvanishing else 'FAIL'}\n")
+    if check.expect_one:
+        yield ("one-dimensionality (projective-space hypersurface): value == 1 -> "
+               f"{'PASS' if check.is_one else 'FAIL'}\n")
+
+
+def verify_report(report: VerifyReport) -> Iterator[str]:
+    """The ``verify`` report: the mismatches, then the negative-dimension cases."""
+    from .constructions import ConstructionKind
+
+    yield f"{len(report.mismatches)} mismatches / {report.cases} cases\n"
+    for base_id, params, kind, d in report.mismatches:
+        yield f"  MISMATCH {base_id} {params} {kind} d={d}\n"
+    hyperplane_only = all(
+        case.kind is ConstructionKind.DIVISOR and case.d == 1 for case in report.negatives
+    )
+    yield (f"nonnegativity: {len(report.negatives)} integer cases with negative dimension, "
+           f"all hyperplane-type (divisor, d=1): {'yes' if hyperplane_only else 'NO'}\n")
 
 
 #: The fields of a ``catalog`` row after ``schema_version``; the columns of its table.

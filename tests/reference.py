@@ -6,6 +6,7 @@ direct means, something that ``cycalc`` computes faster or as a side effect.
 
 import json
 from functools import cache
+from math import gcd
 
 from cycalc.constructions import ALL_KINDS
 from cycalc.hodge import _validate_weights
@@ -65,6 +66,20 @@ def fonarev_rank_by_rows(k, n):
             prefix[v] = running
         ways = prefix
     return sum(ways)
+
+
+def gr_window(max_n):
+    """The (k, n) pairs of the ``gr`` sweep window, by brute enumeration.
+
+    Every pair with 2 <= k, 2k < n <= max_n and gcd(k, n) = 1, found by
+    testing all k < n <= max_n rather than by the window's own loop bounds.
+    """
+    return sorted(
+        (k, n)
+        for n in range(max_n + 1)
+        for k in range(n)
+        if 2 <= k and 2 * k < n and gcd(k, n) == 1
+    )
 
 
 def hodge_work(dim_x, weights, degree):

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import cycalc
 
 from cycalc import cli
-from cycalc.catalog import FAMILIES, builtin
+from cycalc.catalog import FAMILIES, LefschetzBase, builtin
 from cycalc.constructions import ALL_KINDS, ConstructionKind
 from cycalc.engine import SweepBounds
 from cycalc.errors import CycalcError
@@ -352,6 +352,28 @@ def test_verify_skips_the_cases_a_user_base_cannot_hold(tmp_path, monkeypatch):
     assert [(c.base.id, c.base.param_key(), c.kind.value, c.d) for c in report.negatives] == [
         ("pn", (n,), "divisor", 1) for n in range(1, 5)
     ]
+
+
+def test_verify_negatives_leave_out_whole_category_rows(tmp_path, capsys, monkeypatch):
+    from cycalc.engine import SweepBounds, verify_cross_check
+
+    # on a base of dimension 0 the divisor's d = m row has p = -1 < 0, but its
+    # component is all of D(X); only the divisor and root rows of d = 1 count
+    point = LefschetzBase("point", "pt", 0, 2, 1, "O", omega_is_l_minus_m=True)
+    path = tmp_path / "catalog.json"
+    path.write_text(catalog_text([point]), encoding="utf-8")
+    monkeypatch.setenv("CYCALC_CATALOG", str(path))
+    report = verify_cross_check(
+        SweepBounds(kinds=ALL_KINDS, families=("point",), extra_bases=cli._user_bases())
+    )
+    assert not any(case.component_is_whole for case in report.negatives)
+    assert [(c.kind.value, c.d) for c in report.negatives] == [("divisor", 1), ("root", 1)]
+    code, out, _ = run(capsys, "verify", "--families", "point")
+    assert code == 0
+    assert out.splitlines()[-1] == (
+        "nonnegativity: 2 integer cases with negative dimension, "
+        "all hyperplane-type (divisor, d=1): NO"
+    )
 
 
 def test_family_filter_accepts_user_catalog_ids(tmp_path, capsys, monkeypatch):
@@ -760,6 +782,19 @@ def test_hh_table_mentions_check(capsys):
     )
     assert code == 0
     assert "PASS" in out
+
+
+def test_hh_zero_calabi_yau_case_has_no_one_dimensionality_line(capsys):
+    # the quadric surface's component is 0-Calabi-Yau: HH_0 holds both spinor
+    # classes, so its value is 2 and one-dimensionality is not expected
+    argv = ("hh", "--base", "pn", "--n", "3", "--construction", "divisor", "--degree", "2")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.endswith("homology check: HH_0(component) = 2 (nonzero required) -> PASS\n")
+    assert "one-dimensionality" not in out
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    (record,) = json.loads(out)["records"]
+    assert (code, record["check_n_cy"], record["check_expect_one"]) == (0, 0, False)
 
 
 def test_oversized_hodge_exits_2_quickly_without_traceback():

@@ -25,7 +25,7 @@ from cycalc.engine import (
     verify_cross_check,
 )
 from cycalc.errors import NotPureShiftable, SizeLimitExceeded
-from reference import negative_dimension_cases
+from reference import gr_window, negative_dimension_cases
 
 DIV = ConstructionKind.DIVISOR
 COVER = ConstructionKind.DOUBLE_COVER
@@ -202,6 +202,14 @@ def test_weight_multisets_come_out_sorted():
     assert len(multisets) == 28_598
     assert multisets == sorted(multisets)
     assert all(list(w) == sorted(w) for w in multisets)
+
+
+def test_gr_window_matches_a_brute_enumeration_on_every_max_n():
+    # odd and even ceilings alike: --max-n 31 holds Gr(15,31), --max-n 30 does not
+    for max_n in range(5, 32):
+        bounds = SweepBounds(max_n=max_n, families=("gr",))
+        assert [base.param_key() for base in iter_sweep_bases(bounds)] == gr_window(max_n)
+    assert gr_window(31)[-1] == (15, 31) and (15, 31) not in gr_window(30)
 
 
 def test_weight_multisets_reach_a_1500_long_tuple():

@@ -79,13 +79,15 @@ def test_hodge_and_hh_records_open_like_the_case_record():
 
     base = builtin("wpn", {"w0": 1, "w1": 1, "w2": 1, "w3": 1, "w4": 2})
     case = analyze(base, ConstructionKind.DIVISOR, 4)
-    opening = list(records.case_record(case).items())[:4]
+    row = records.case_record(case)
+    opening = list(row.items())[:4]
     assert [name for name, _ in opening] == ["schema_version", "base_id", "base", "params"]
+    opening += [("construction", row["construction"]), ("degree", row["degree"])]
     for row in (
         records.hodge_record(case, diamond_for_case(case)),
         records.hh_record(case, hh_pipeline(case)),
     ):
-        assert list(row.items())[:4] == opening
+        assert list(row.items())[:6] == opening
 
 
 def test_csv_and_table_take_any_iterable():
