@@ -19,11 +19,11 @@ Gr(2,2n+1) has dimension 4n-3.  The ``p3xp3`` entry is a companion of the
 other fixed entries (its quadric sections behave exactly like those of the
 homogeneous fixed entries) rather than a member of an infinite family here.
 
-A new family is one ``FAMILIES`` row: ``_family`` takes its catalog strings,
-its parameter names (the command line's flags), an optional lower bound,
-rules from the parameter values to the base's numbers and names, and a sweep
-window in ``param_key`` order; ``_fixed`` does the same for a parameterless
-entry.  Only ``wpn``, with a parameter list of any length, has its own rules.
+A new family is one ``FAMILIES`` row, a ``Family``: its catalog strings, its
+parameter names (the command line's flags), rules ``numbers`` and ``names``
+from the parameter values to the base's numbers and names, a sweep ``window``
+of parameter values in ``param_key`` order and an optional lower bound
+``minimum``.  ``_fixed`` builds a parameterless row; ``wpn`` is a ``WeightedFamily``.
 """
 
 from __future__ import annotations
@@ -123,59 +123,77 @@ def fonarev_rank(k: int, n: int) -> int:
 
 
 class Family(Value):
-    """One builtin family: metadata, an instantiation rule and a sweep window."""
+    """One builtin family: its catalog strings, rules for its bases and its sweep window.
+
+    ``numbers`` maps the parameter values, in ``param_names`` order, to dim M, m
+    and rk B, and ``names`` to the display name and note, formatted once the sizes
+    pass.  ``minimum`` bounds the first parameter; ``numbers`` makes other checks.
+    """
 
     __slots__ = (
         "id", "display_name", "param_names", "dim_formula", "length_formula",
-        "rank_formula", "line_bundle_note", "make", "window",
+        "rank_formula", "line_bundle_note", "numbers", "names", "window", "minimum",
     )
 
     def __init__(
         self, id: str, display_name: str, param_names: tuple[str, ...], dim_formula: str,
         length_formula: str, rank_formula: str, line_bundle_note: str,
-        make: Callable[[Mapping[str, int]], LefschetzBase],
-        window: Callable[[SweepBounds], Iterable[Mapping[str, int]]],
+        numbers: Callable[..., tuple[int, int, int]], names: Callable[..., tuple[str, str]],
+        window: Callable[[SweepBounds], Iterable[tuple[int, ...]]], minimum: int | None = None,
     ) -> None:
         self._set(
             id, display_name, param_names, dim_formula, length_formula, rank_formula,
-            line_bundle_note, make, window,
+            line_bundle_note, numbers, names, window, minimum,
+        )
+
+    def keys(self, count: int) -> tuple[str, ...]:
+        """The names of ``count`` parameter values."""
+        return self.param_names
+
+    def values(self, params: Mapping[str, int]) -> tuple[int, ...]:
+        """The values of the named parameters in ``param_names`` order; raises InvalidParams."""
+        missing = [name for name in self.param_names if name not in params]
+        if missing:
+            raise InvalidParams(f"{self.id} requires parameters {', '.join(missing)}")
+        extra = sorted(set(params) - set(self.param_names))
+        if extra:
+            raise InvalidParams(f"{self.id} got unexpected parameters {', '.join(extra)}")
+        values = tuple(params[p] for p in self.param_names)
+        if self.minimum is not None and values[0] < self.minimum:
+            p = self.param_names[0]
+            raise InvalidParams(f"{self.id} requires {p} >= {self.minimum}, got {p}={values[0]}")
+        return values
+
+    def base(self, values: tuple[int, ...]) -> LefschetzBase:
+        """The family's base at checked parameter values."""
+        dim_m, m, rank = self.numbers(*values)
+        _check_digits(MAX_SIZE_DIGITS, _SIZE_BOUND, {"dim_m": dim_m, "length_m": m})
+        display, note = self.names(*values)
+        return LefschetzBase(
+            self.id, display, dim_m, m, rank, note,
+            parameters=zip(self.keys(len(values)), values),
         )
 
 
-def _require_params(family_id: str, params: Mapping[str, int], names: tuple[str, ...]) -> None:
-    missing = [name for name in names if name not in params]
-    if missing:
-        raise InvalidParams(f"{family_id} requires parameters {', '.join(missing)}")
-    extra = sorted(set(params) - set(names))
-    if extra:
-        raise InvalidParams(f"{family_id} got unexpected parameters {', '.join(extra)}")
+class WeightedFamily(Family):
+    """The ``wpn`` row: any number of weights, read sorted and named w0, w1, ..."""
 
+    __slots__ = ()
 
-def _normalize_weights(params: Mapping[str, int]) -> tuple[int, ...]:
-    if not params:
-        raise InvalidParams("wpn requires at least one weight")
-    if set(params) != {f"w{i}" for i in range(len(params))}:
-        raise InvalidParams("wpn weight parameters must be named w0, w1, ...")
-    weights = tuple(sorted(params.values()))
-    if len(weights) < 2:
-        raise InvalidParams("wpn requires at least two weights")
-    if any(w < 1 for w in weights):
-        raise InvalidParams(f"weights must be positive, got {weights}")
-    return weights
+    def keys(self, count: int) -> tuple[str, ...]:
+        return tuple(f"w{i}" for i in range(count))
 
-
-def _make_wpn(params: Mapping[str, int]) -> LefschetzBase:
-    weights = _normalize_weights(params)
-    n = len(weights) - 1
-    return LefschetzBase(
-        id="wpn",
-        display_name="P(" + ",".join(str(w) for w in weights) + ")",
-        dim_m=n,
-        length_m=sum(weights),
-        rank_b=1,
-        line_bundle_note="O(1) on the smooth toric stack",
-        parameters={f"w{i}": w for i, w in enumerate(weights)},
-    )
+    def values(self, params: Mapping[str, int]) -> tuple[int, ...]:
+        if not params:
+            raise InvalidParams("wpn requires at least one weight")
+        if set(params) != set(self.keys(len(params))):
+            raise InvalidParams("wpn weight parameters must be named w0, w1, ...")
+        weights = tuple(sorted(params.values()))
+        if len(weights) < 2:
+            raise InvalidParams("wpn requires at least two weights")
+        if any(w < 1 for w in weights):
+            raise InvalidParams(f"weights must be positive, got {weights}")
+        return weights
 
 
 def _weight_multisets(total_max: int) -> Iterator[tuple[int, ...]]:
@@ -208,96 +226,46 @@ def _weight_multisets(total_max: int) -> Iterator[tuple[int, ...]]:
             yield tuple(weights)
 
 
-def _wpn_window(bounds: SweepBounds) -> Iterator[dict[str, int]]:
-    if bounds.include_weighted:
-        for weights in _weight_multisets(bounds.max_weight_sum):
-            yield {f"w{i}": w for i, w in enumerate(weights)}
-
-
-def _family(
-    family_id: str,
-    name: str,
-    param_names: tuple[str, ...],
-    dim_formula: str,
-    length_formula: str,
-    rank_formula: str,
-    note: str,
-    numbers: Callable[..., tuple[int, int, int]],
-    names: Callable[..., tuple[str, str]],
-    window: Callable[[SweepBounds], Iterable[Mapping[str, int]]],
-    minimum: int | None = None,
-) -> Family:
-    """One builtin family: its catalog strings, rules for its bases, its window.
-
-    ``numbers`` maps the parameter values, in ``param_names`` order, to dim M, m
-    and rk B, and ``names`` to the display name and note, formatted once the sizes
-    pass.  ``minimum`` bounds a single parameter; ``numbers`` makes other checks.
-    """
-
-    def make(params: Mapping[str, int]) -> LefschetzBase:
-        _require_params(family_id, params, param_names)
-        values = tuple(params[p] for p in param_names)
-        if minimum is not None and values[0] < minimum:
-            p = param_names[0]
-            raise InvalidParams(f"{family_id} requires {p} >= {minimum}, got {p}={values[0]}")
-        dim_m, m, rank = numbers(*values)
-        _check_digits(MAX_SIZE_DIGITS, _SIZE_BOUND, {"dim_m": dim_m, "length_m": m})
-        display, base_note = names(*values)
-        return LefschetzBase(
-            family_id, display, dim_m, m, rank, base_note,
-            parameters=tuple(zip(param_names, values)),
-        )
-
-    return Family(
-        family_id, name, param_names, dim_formula, length_formula, rank_formula, note, make,
-        window,
-    )
-
-
 def _fixed(
     base_id: str, name: str, display: str, dim_m: int, m: int, rank: int, note: str
 ) -> Family:
     """A parameterless family: catalog name, base name, dim M, m, rk B, note."""
-    return _family(
+    return Family(
         base_id, name, (), str(dim_m), str(m), str(rank), note,
         lambda: (dim_m, m, rank),
         lambda: (display, note),
-        lambda bounds: [{}],
+        lambda bounds: [()],
     )
 
 
 FAMILIES: dict[str, Family] = {
     f.id: f
     for f in (
-        _family(
+        Family(
             "pn", "projective space P^n", ("n",), "n", "n+1", "1", "O(1)",
             lambda n: (n, n + 1, 1),
             lambda n: (f"P^{n}", "O(1)"),
-            lambda b: ({"n": n} for n in range(1, b.max_n + 1)),
+            lambda b: ((n,) for n in range(1, b.max_n + 1)),
             minimum=1,
         ),
-        Family(
-            "wpn",
-            "weighted projective stack P(w0,...,wn)",
-            ("w0...",),
-            "n",
-            "w0+...+wn",
-            "1",
-            "O(1) on the smooth toric stack",
-            _make_wpn,
-            _wpn_window,
+        WeightedFamily(
+            "wpn", "weighted projective stack P(w0,...,wn)", ("w0...",), "n", "w0+...+wn",
+            "1", "O(1) on the smooth toric stack",
+            lambda *w: (len(w) - 1, sum(w), 1),
+            lambda *w: ("P(" + ",".join(map(str, w)) + ")", "O(1) on the smooth toric stack"),
+            lambda b: _weight_multisets(b.max_weight_sum) if b.include_weighted else (),
         ),
-        _family(
+        Family(
             "quadric4s2", "smooth quadric of dimension 4s+2", ("s",), "4s+2", "2", "2s+2",
             "O(2s+1)",
             lambda s: (4 * s + 2, 2, 2 * s + 2),
             lambda s: (
                 f"Q^{4 * s + 2}", f"O({2 * s + 1}); block = O,...,O(2s) plus one spinor bundle"
             ),
-            lambda b: ({"s": s} for s in range(1, b.max_s + 1)),
+            lambda b: ((s,) for s in range(1, b.max_s + 1)),
             minimum=1,
         ),
-        _family(
+        Family(
             "gr", "Grassmannian Gr(k,n), k and n coprime", ("k", "n"), "k(n-k)", "n",
             "C(n,k)/n", "Pluecker O(1)",
             # fonarev_rank validates 1 <= k < n and coprimality
@@ -305,20 +273,20 @@ FAMILIES: dict[str, Family] = {
             lambda k, n: (f"Gr({k},{n})", "Pluecker O(1)"),
             # 2 <= k and 2k < n: Gr(1,n) has the numerics of P^(n-1), Gr(n-k,n) those of Gr(k,n)
             lambda b: (
-                {"k": k, "n": n}
+                (k, n)
                 for k in range(2, (b.max_n + 1) // 2)
                 for n in range(2 * k + 1, b.max_n + 1)
                 if gcd(k, n) == 1
             ),
         ),
-        _family(
+        Family(
             "ogr2", "orthogonal Grassmannian OGr(2,2n+1)", ("n",), "4n-5", "2n-2", "n", "O(1)",
             lambda n: (4 * n - 5, 2 * n - 2, n),
             lambda n: (
                 f"OGr(2,{2 * n + 1})",
                 "O(1); block = symmetric powers of U^v plus the spinor bundle",
             ),
-            lambda b: ({"n": n} for n in range(2, b.max_n + 1)),
+            lambda b: ((n,) for n in range(2, b.max_n + 1)),
             minimum=2,
         ),
         _fixed(
@@ -333,14 +301,14 @@ FAMILIES: dict[str, Family] = {
             "g2gr", "adjoint Grassmannian of type G2", "G2-Gr(2,7)", 5, 3, 2,
             "O(1); block = O, U^v",
         ),
-        _family(
+        Family(
             "igr2", "hyperplane section of Gr(2,2n+1)", ("n",), "4n-3", "2n", "n", "O(1)",
             lambda n: (4 * n - 3, 2 * n, n),
             lambda n: (f"IGr(2,{2 * n + 1})", "O(1); block = O, U^v, ..., S^(n-1) U^v"),
             # n >= 3: quadric sections of IGr(2,5) are the fourfold members of the
             # double-cover-of-Gr(2,5) series the sweeps already hold, so the window
             # keeps one representative per family; builtin() still takes n = 2
-            lambda b: ({"n": n} for n in range(3, b.max_n + 1)),
+            lambda b: ((n,) for n in range(3, b.max_n + 1)),
             minimum=2,
         ),
         _fixed(
@@ -369,7 +337,7 @@ def builtin(base_id: str, params: Mapping[str, int] | None = None) -> LefschetzB
         raise UnknownBase(f"unknown base id {base_id!r}; builtins: {', '.join(BUILTIN_IDS)}")
     params = dict(params or {})
     _check_digits(MAX_RANK_DIGITS, _RANK_BOUND, params)
-    return family.make(params)
+    return family.base(family.values(params))
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from operator import attrgetter
 from typing import Iterator
 
 from .autoeq import Generator, NormalForm, resolve
-from .catalog import FAMILIES, LefschetzBase, builtin
+from .catalog import FAMILIES, LefschetzBase
 from .constructions import ALL_KINDS, ConstructionKind, check_case, substitution_table
 from .errors import (
     CycalcError, InvalidParams, NotPureShiftable, SizeLimitExceeded, UnknownBase,
@@ -241,7 +241,7 @@ def iter_sweep_bases(bounds: SweepBounds) -> Iterator[LefschetzBase]:
     """The bases of the window, ordered by id and then by parameters.
 
     Families and ``extra_bases`` are merged by id (ids are distinct, as the
-    catalog loader ensures), each family in its window's order.
+    catalog loader ensures), each family's bases built by its row in window order.
     """
     for source in sorted([*FAMILIES.values(), *bounds.extra_bases], key=attrgetter("id")):
         if bounds.families is not None and source.id not in bounds.families:
@@ -249,8 +249,7 @@ def iter_sweep_bases(bounds: SweepBounds) -> Iterator[LefschetzBase]:
         if isinstance(source, LefschetzBase):
             yield source
         else:
-            for params in source.window(bounds):
-                yield builtin(source.id, params)
+            yield from map(source.base, source.window(bounds))
 
 
 def iter_cases(bounds: SweepBounds) -> Iterator[CaseResult]:

@@ -90,8 +90,9 @@ _CASE_COLUMNS: tuple[tuple[str, Callable[[CaseResult], object], bool], ...] = (
 CASE_FIELDS = tuple(name for name, _, _ in _CASE_COLUMNS)
 #: The columns of the ``case`` and ``sweep`` text table.
 CASE_TABLE_COLUMNS = tuple(name for name, _, shown in _CASE_COLUMNS if shown)
-#: The fields every ``hodge`` and ``hh`` record opens with: schema to params, construction, degree.
-_CASE_HEADER = _CASE_COLUMNS[:4] + _CASE_COLUMNS[7:9]
+#: The fields every ``hodge`` and ``hh`` record opens with, in case record order.
+_HEADER_FIELDS = {"schema_version", "base_id", "base", "params", "construction", "degree"}
+_CASE_HEADER = tuple(column for column in _CASE_COLUMNS if column[0] in _HEADER_FIELDS)
 
 
 def _read(case: CaseResult, columns: Iterable[tuple[str, Callable, bool]]) -> dict:

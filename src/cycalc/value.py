@@ -19,12 +19,14 @@ class Value:
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
+        # a subclass that adds no field (``__slots__ = ()``) keeps its parent's
+        cls._fields = cls.__slots__ or cls._fields
         # the fields in one C call: a tuple, or the value itself for one field
-        cls._key = attrgetter(*cls.__slots__)
+        cls._key = attrgetter(*cls._fields)
 
     def _set(self, *values) -> None:
         # one store per field; _setattr returns None, so any() runs them all
-        any(map(_setattr, repeat(self), self.__slots__, values))
+        any(map(_setattr, repeat(self), self._fields, values))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -36,7 +38,7 @@ class Value:
         return hash(self._key(self))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value):
@@ -46,4 +48,4 @@ class Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return type(self), tuple(map(self.__getattribute__, self.__slots__))
+        return type(self), tuple(map(self.__getattribute__, self._fields))

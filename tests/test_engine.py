@@ -79,6 +79,12 @@ def test_extract_witness_rejects_line_twist():
         extract_witness(NormalForm(shift=2, ltwist=1), 1)
 
 
+@pytest.mark.parametrize("q0", [0, -1])
+def test_extract_witness_refuses_a_nonpositive_exponent(q0):
+    with pytest.raises(ValueError, match=f"q0 must be positive, got {q0}"):
+        extract_witness(NormalForm(shift=2), q0)
+
+
 def test_analyze_debarre_voisin():
     case = analyze(builtin("gr", {"k": 3, "n": 10}), DIV, 1)
     assert case.is_integer_cy

@@ -80,6 +80,13 @@ def test_series_rejects_non_divisible_weight():
         jacobian_poincare((1, 2), 5)
 
 
+def test_series_drops_trailing_zero_coefficients():
+    series = hodge.PoincareSeries((1, 2, 0, 0))
+    assert series.coefficients == (1, 2)
+    assert series == hodge.PoincareSeries((1, 2))
+    assert series.coefficient(3) == 0
+
+
 def test_brute_force_examples():
     assert brute_force_jacobian_dim((1,) * 6, 3, 3) == comb(6, 3)
     assert brute_force_jacobian_dim((1, 1, 1, 3), 6, 0) == 1
@@ -209,6 +216,12 @@ def test_cubic_fourfold_diamond():
     assert diamond.h(4, 0) == 0
     for p in (0, 1, 3, 4):
         assert diamond.h(p, p) == 1
+
+
+def test_diamond_reads_zero_outside_its_table():
+    diamond = pn_diamond(5, 3)
+    for p, q in ((-1, 0), (0, -1), (5, 0), (0, 5), (5, 5)):
+        assert diamond.h(p, q) == 0
 
 
 def test_degree_one_hypersurface_is_projective_space():
@@ -452,6 +465,17 @@ def test_component_subtraction_rejects_overdraw():
     tiny = HHProfile({0: 2})
     with pytest.raises(NegativeDimension):
         hh_component(tiny, base, 1)
+
+
+def test_component_subtraction_rejects_a_degree_past_the_length():
+    base = builtin("pn", {"n": 5})
+    with pytest.raises(NegativeDimension, match="degree 7 exceeds the decomposition length"):
+        hh_component(hkr(pn_diamond(5, 3)), base, 7)
+
+
+def test_homology_profile_refuses_a_negative_dimension():
+    with pytest.raises(NegativeDimension, match="negative homology dimension"):
+        HHProfile({0: 3, 2: -1})
 
 
 def test_cy_check_cubic_fourfold():

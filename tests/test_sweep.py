@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycalc.catalog import FAMILIES, LefschetzBase, _family
+from cycalc.catalog import FAMILIES, Family, LefschetzBase, builtin
 from cycalc.constructions import ALL_KINDS, ConstructionKind
 from cycalc.engine import (
     SweepBounds,
     iter_cases,
+    iter_sweep_bases,
     sweep,
 )
 from cycalc.errors import InvalidParams, UnknownBase
@@ -250,11 +251,11 @@ def test_enumeration_order_is_output_order(bounds, data):
 
 def test_a_new_family_is_one_row_and_sweeps_in_order(monkeypatch):
     # P^n x P^n with L = O(1,1): the p3xp3 entry is its n = 3 member
-    row = _family(
+    row = Family(
         "pnxpn", "product P^n x P^n", ("n",), "2n", "n+1", "n+1", "O(1,1)",
         lambda n: (2 * n, n + 1, n + 1),
         lambda n: (f"P^{n} x P^{n}", "O(1,1)"),
-        lambda bounds: ({"n": n} for n in range(1, bounds.max_n + 1)),
+        lambda bounds: ((n,) for n in range(1, bounds.max_n + 1)),
         minimum=1,
     )
     monkeypatch.setitem(FAMILIES, "pnxpn", row)
@@ -265,3 +266,12 @@ def test_a_new_family_is_one_row_and_sweeps_in_order(monkeypatch):
     assert sum(c.base.id == "pnxpn" for c in cases) == 2 * (2 + 3 + 4 + 5)
     threefolds = {signature(c) for c in sweep(bounds, cy_dim=3)}
     assert ("pnxpn", (3,), DIV, 2) in threefolds
+
+
+def test_window_bases_are_the_bases_builtin_makes():
+    # a window base is built from its row's parameter values without reading
+    # them by name, so it must equal the base that the named parameters give
+    bases = list(iter_sweep_bases(SweepBounds(include_weighted=True, max_weight_sum=12)))
+    assert {base.id for base in bases} == set(FAMILIES)
+    for base in bases:
+        assert base == builtin(base.id, dict(base.parameters))

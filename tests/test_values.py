@@ -38,7 +38,7 @@ def build(name):
 
 # (pickles, deep-copies) for every value class, as in the frozen-dataclass era:
 # a table's read-only mapping cannot be pickled or deep-copied, and a family's
-# instantiation rule is a closure, which deep-copies but does not pickle.
+# rules are lambdas, which deep-copy but do not pickle.
 COPYABLE = {
     "NormalForm": (True, True),
     "LefschetzBase": (True, True),
