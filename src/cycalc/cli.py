@@ -211,13 +211,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     report = verify_cross_check(_bounds(args, kinds=ALL_KINDS))
-    if not report.cases:
-        raise CycalcError("the verify window holds no case, so nothing was compared")
-    if not report.compared:
-        raise CycalcError(
-            f"none of the {report.cases} cases of the verify window exists on its base, "
-            "so nothing was compared"
-        )
     sys.stdout.writelines(records.verify_report(report))
     return EXIT_OK if report.ok else EXIT_INTERNAL
 

@@ -14,8 +14,9 @@ exact integer arithmetic.  Two independent code paths compute it:
 * :func:`closed_form` evaluates the per-construction closed expression
   directly (shift and parity arithmetic, no word algebra).
 
-:func:`verify_cross_check` runs both over the whole catalog and counts
-mismatches; agreement is this package's main internal consistency guarantee.
+:func:`verify_cross_check` runs both over a sweep window and collects the
+cases where they disagree; agreement is this package's main internal
+consistency guarantee.  A window that compares nothing is refused.
 
 A witness (p, q) with S^q = [p] is extracted from the resolved power: if the
 parity components vanish the power itself is a pure shift; otherwise its
@@ -320,7 +321,7 @@ class VerifyReport(Value):
     __slots__ = ("cases", "mismatches", "negatives", "compared")
 
     def __init__(
-        self, cases: int, mismatches: tuple[tuple[str, tuple, str, int], ...],
+        self, cases: int, mismatches: tuple[CaseResult, ...],
         negatives: tuple[CaseResult, ...], compared: int,
     ) -> None:
         self._set(cases, mismatches, negatives, compared)
@@ -330,15 +331,14 @@ class VerifyReport(Value):
         return not self.mismatches
 
 
-def verify_cross_check(bounds: SweepBounds | None = None) -> VerifyReport:
-    """Compare the word-algebra path against the closed forms everywhere.
+def verify_cross_check(bounds: SweepBounds) -> VerifyReport:
+    """Compare the word-algebra path against the closed forms over ``bounds``.
 
     It reads the case stream that :func:`sweep` filters.  The same pass
     collects into ``negatives`` the proper integer components whose dimension
-    is negative.
+    is negative.  A window that compares nothing, because it holds no case or
+    none that exists on its base, raises CycalcError.
     """
-    if bounds is None:
-        bounds = SweepBounds(kinds=ALL_KINDS)
     total = compared = 0
     mismatches = []
     negatives = []
@@ -352,9 +352,14 @@ def verify_cross_check(bounds: SweepBounds | None = None) -> VerifyReport:
         # the case is valid, so an error row of the word path is a
         # disagreement too (e.g. a line twist left in the normal form)
         if case.serre_power_nf != via_formula:
-            mismatches.append((case.base.id, case.base.param_key(), case.kind.value, case.d))
+            mismatches.append(case)
         if case.is_integer_cy and not case.component_is_whole and case.witness.p < 0:
             negatives.append(case)
-    return VerifyReport(
-        cases=total, mismatches=tuple(mismatches), negatives=tuple(negatives), compared=compared
-    )
+    if not total:
+        raise CycalcError("the verify window holds no case, so nothing was compared")
+    if not compared:
+        raise CycalcError(
+            f"none of the {total} cases of the verify window exists on its base, "
+            "so nothing was compared"
+        )
+    return VerifyReport(total, tuple(mismatches), tuple(negatives), compared)

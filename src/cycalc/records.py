@@ -163,8 +163,8 @@ def verify_report(report: VerifyReport) -> Iterator[str]:
     from .constructions import ConstructionKind
 
     yield f"{len(report.mismatches)} mismatches / {report.cases} cases\n"
-    for base_id, params, kind, d in report.mismatches:
-        yield f"  MISMATCH {base_id} {params} {kind} d={d}\n"
+    for case in report.mismatches:
+        yield f"  MISMATCH {case.base.id} {case.base.param_key()} {case.kind.value} d={case.d}\n"
     hyperplane_only = all(
         case.kind is ConstructionKind.DIVISOR and case.d == 1 for case in report.negatives
     )

@@ -104,6 +104,18 @@ MUTANTS = (
         '"SGr(3,6)", 6, 4, 3,',
         "the sgr36 block rank is one too large",
     ),
+    (
+        "src/cycalc/engine.py",
+        'raise CycalcError("the verify window holds no case, so nothing was compared")',
+        "pass",
+        "a verify window that holds no case is not refused",
+    ),
+    (
+        "src/cycalc/records.py",
+        "{case.kind.value} d={case.d}",
+        "{case.kind} d={case.d}",
+        "a verify mismatch prints the kind's enum name, not its value",
+    ),
 )
 
 #: Tests that compare whole outputs with recorded digests.  A mutant that only

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd
 
 from cycalc.catalog import builtin
-from cycalc.constructions import ConstructionKind
+from cycalc.constructions import ALL_KINDS, ConstructionKind
 from cycalc.engine import SweepBounds, analyze, iter_cases, sweep, verify_cross_check
 from cycalc.hodge import diamond_for_case, hh_component, hh_pipeline, hkr, jacobian_poincare
 from reference import brute_force_jacobian_dim
@@ -63,7 +63,7 @@ def test_criterion_2_threefold_list():
 
 
 def test_criterion_3_cross_check():
-    report = verify_cross_check()
+    report = verify_cross_check(SweepBounds(kinds=ALL_KINDS))
     verdict(
         3,
         "word algebra vs closed forms",

@@ -198,12 +198,41 @@ def test_rank_ceiling_is_the_longest_int_python_prints():
         sys.set_int_max_str_digits(default)
 
 
+def k0_rank_grid():
+    """(row id, parameters, rank of K_0(M)) over a small grid of every row.
+
+    The rank is the number of Schubert cells |W/W_P| of M (for P(w), the sum of
+    the weights), typed in from the geometry rather than read from the row.
+    """
+    for n in range(1, 12):
+        yield "pn", {"n": n}, n + 1
+    for s in range(1, 6):
+        yield "quadric4s2", {"s": s}, 4 * s + 4
+    for n in range(2, 16):
+        for k in range(1, n):
+            if gcd(k, n) == 1:
+                yield "gr", {"k": k, "n": n}, comb(n, k)
+    for n in range(2, 10):
+        yield "ogr2", {"n": n}, 2 * n * (n - 1)
+        yield "igr2", {"n": n}, 2 * n * n
+    for weights in ((1, 1, 1, 1, 2), (1, 2, 3)):
+        yield "wpn", {f"w{i}": w for i, w in enumerate(weights)}, sum(weights)
+    yield "sgr36", {}, 8
+    yield "ogr510", {}, 16
+    yield "g2gr", {}, 6
+    yield "gr26_L2", {}, 15
+    yield "p3xp3", {}, 16
+
+
 def test_rank_times_length_matches_known_k_theory():
-    assert builtin("pn", {"n": 7}).rank_b * 8 == 8
-    q = builtin("quadric4s2", {"s": 2})
-    assert q.rank_b * q.length_m == 4 * 2 + 4
-    g = builtin("gr", {"k": 3, "n": 10})
-    assert g.rank_b * g.length_m == comb(10, 3)
+    # a rectangular Lefschetz decomposition is m blocks of rk B exceptional
+    # objects each, a full exceptional collection of M
+    seen = set()
+    for family_id, params, rank in k0_rank_grid():
+        base = builtin(family_id, params)
+        assert base.length_m * base.rank_b == rank, (family_id, params)
+        seen.add(family_id)
+    assert seen == set(FAMILIES)
 
 
 def test_all_builtins_satisfy_canonical_hypothesis():

@@ -309,8 +309,9 @@ def test_family_filter_selecting_nothing_exit_2(capsys, command):
 def test_verify_that_compares_nothing_exit_2(capsys):
     from cycalc.engine import SweepBounds, verify_cross_check
 
-    report = verify_cross_check(SweepBounds(max_n=0, families=("pn",)))
-    assert (report.cases, report.ok) == (0, True)
+    message = "^the verify window holds no case, so nothing was compared$"
+    with pytest.raises(CycalcError, match=message):
+        verify_cross_check(SweepBounds(max_n=0, families=("pn",)))
     code, out, err = run(capsys, "verify", "--families", "pn", "--max-n", "0")
     assert (code, out) == (2, "")
     assert err == "error: the verify window holds no case, so nothing was compared\n"
@@ -325,8 +326,12 @@ def test_verify_that_compares_no_case_of_its_window_exit_2(tmp_path, capsys, mon
     path.write_text(json.dumps([record]), encoding="utf-8")
     monkeypatch.setenv("CYCALC_CATALOG", str(path))
     flat = SweepBounds(kinds=ALL_KINDS, families=("flat",), extra_bases=cli._user_bases())
-    report = verify_cross_check(flat)
-    assert (report.cases, report.compared, report.ok) == (12, 0, True)
+    message = (
+        "^none of the 12 cases of the verify window exists on its base, "
+        "so nothing was compared$"
+    )
+    with pytest.raises(CycalcError, match=message):
+        verify_cross_check(flat)
     code, out, err = run(capsys, "verify", "--families", "flat")
     assert (code, out) == (2, "")
     assert err == (

@@ -162,7 +162,7 @@ def test_word_path_equals_closed_form_on_weighted_bases():
 
 
 def test_verify_cross_check_default_is_clean():
-    report = verify_cross_check()
+    report = verify_cross_check(SweepBounds(kinds=ALL_KINDS))
     assert report.ok
     assert report.cases >= 500
 
