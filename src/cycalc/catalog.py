@@ -336,6 +336,10 @@ def builtin(base_id: str, params: Mapping[str, int] | None = None) -> LefschetzB
     if family is None:
         raise UnknownBase(f"unknown base id {base_id!r}; builtins: {', '.join(BUILTIN_IDS)}")
     params = dict(params or {})
+    for name, value in params.items():
+        # type(), not isinstance(): True is no integer, as in a catalog file
+        if type(value) is not int:
+            raise InvalidParams(f"{base_id} parameter {name} must be an integer, got {value!r}")
     _check_digits(MAX_RANK_DIGITS, _RANK_BOUND, params)
     return family.base(family.values(params))
 

@@ -184,6 +184,18 @@ def _add_bounds_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--families", type=_names, help="restrict the sweep to these base ids")
 
 
+def _add_filter_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--cy-dim",
+        type=_cy_dim,
+        default=None,
+        help="filter: integer or p/q dimension; write a negative one as --cy-dim=-17/3",
+    )
+    parser.add_argument(
+        "--integer", action="store_true", help="filter: integer Calabi-Yau cases only"
+    )
+
+
 def _cmd_catalog(args: argparse.Namespace) -> int:
     rows = records.catalog_records(FAMILIES.values(), _user_bases())
     _emit(rows, args.format, table_columns=records.CATALOG_FIELDS)
@@ -239,49 +251,29 @@ def _cmd_hh(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+#: Each subcommand in ``-h`` order: its name, help, flag groups and handler.
+_COMMANDS = (
+    ("catalog", "list builtin bases", (_add_format,), _cmd_catalog),
+    ("case", "analyze one (base, construction, degree) case",
+     (_add_base_args, _add_format), _cmd_case),
+    ("sweep", "enumerate cases over the catalog",
+     (_add_bounds_args, _add_filter_args, _add_format), _cmd_sweep),
+    ("verify", "cross-check word algebra against closed forms over the catalog",
+     (_add_bounds_args,), _cmd_verify),
+    ("hodge", "Hodge diamond of the total space of a case",
+     (_add_base_args, _add_format), _cmd_hodge),
+    ("hh", "Hochschild homology pipeline for a case", (_add_base_args, _add_format), _cmd_hh),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="cycalc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_catalog = sub.add_parser("catalog", help="list builtin bases")
-    _add_format(p_catalog)
-    p_catalog.set_defaults(func=_cmd_catalog)
-
-    p_case = sub.add_parser("case", help="analyze one (base, construction, degree) case")
-    _add_base_args(p_case)
-    _add_format(p_case)
-    p_case.set_defaults(func=_cmd_case)
-
-    p_sweep = sub.add_parser("sweep", help="enumerate cases over the catalog")
-    _add_bounds_args(p_sweep)
-    p_sweep.add_argument(
-        "--cy-dim",
-        type=_cy_dim,
-        default=None,
-        help="filter: integer or p/q dimension; write a negative one as --cy-dim=-17/3",
-    )
-    p_sweep.add_argument(
-        "--integer", action="store_true", help="filter: integer Calabi-Yau cases only"
-    )
-    _add_format(p_sweep)
-    p_sweep.set_defaults(func=_cmd_sweep)
-
-    p_verify = sub.add_parser(
-        "verify", help="cross-check word algebra against closed forms over the catalog"
-    )
-    _add_bounds_args(p_verify)
-    p_verify.set_defaults(func=_cmd_verify)
-
-    p_hodge = sub.add_parser("hodge", help="Hodge diamond of the total space of a case")
-    _add_base_args(p_hodge)
-    _add_format(p_hodge)
-    p_hodge.set_defaults(func=_cmd_hodge)
-
-    p_hh = sub.add_parser("hh", help="Hochschild homology pipeline for a case")
-    _add_base_args(p_hh)
-    _add_format(p_hh)
-    p_hh.set_defaults(func=_cmd_hh)
-
+    for name, summary, groups, handler in _COMMANDS:
+        command = sub.add_parser(name, help=summary)
+        for add in groups:
+            add(command)
+        command.set_defaults(func=handler)
     return parser
 
 

@@ -142,6 +142,10 @@ def test_invalid_params(family, params):
         ("wpn", {"w-1": 1, "w7": 2, "w3": 3}, "wpn weight parameters must be named w0, w1, ..."),
         ("wpn", {"w0": 1, "w 1": 2, "w2": 1}, "wpn weight parameters must be named w0, w1, ..."),
         ("wpn", {0: 1, 1: 2}, "wpn weight parameters must be named w0, w1, ..."),
+        ("pn", {"n": 3.0}, "pn parameter n must be an integer, got 3.0"),
+        ("pn", {"n": True}, "pn parameter n must be an integer, got True"),
+        ("wpn", {"w0": 1.5, "w1": 2}, "wpn parameter w0 must be an integer, got 1.5"),
+        ("pn", {"n": "3"}, "pn parameter n must be an integer, got '3'"),
     ],
 )
 def test_invalid_params_messages(family, params, message):

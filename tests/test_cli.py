@@ -574,6 +574,12 @@ def test_help_is_byte_identical_to_recorded_digests(capsys, monkeypatch, command
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == HELP_SHA256[command]
 
 
+def test_docstring_names_the_subcommands_in_table_order():
+    # the module docstring is the -h description, and the table builds the parser
+    (line,) = [line for line in cli.__doc__.splitlines() if line.startswith("Subcommands:")]
+    assert line == f"Subcommands: {' | '.join(name for name, *_ in cli._COMMANDS)}."
+
+
 @pytest.mark.parametrize(
     "command, head",
     [
