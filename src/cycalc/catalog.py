@@ -44,17 +44,25 @@ if TYPE_CHECKING:
 #: at most about (dim M + 1) m, for example the shift ((dim M + 1) d - 2m)/c,
 #: so it then has at most 4,001 digits: Python prints no longer int than 4,300.
 MAX_SIZE_DIGITS = 2_000
-_SIZE_BOUND = 10**MAX_SIZE_DIGITS
 
 #: Most decimal digits of a block rank or of a family parameter: Python prints no longer int.
 MAX_RANK_DIGITS = 4_300
-_RANK_BOUND = 10**MAX_RANK_DIGITS
+
+#: 10**most for each digit ceiling ``most``.
+_BOUND = {most: 10**most for most in (MAX_SIZE_DIGITS, MAX_RANK_DIGITS)}
 
 
-def _check_digits(most: int, bound: int, values: Mapping[str, int]) -> None:
-    """Refuse any of ``values`` of more than ``most`` digits (``bound`` = 10**most)."""
-    for name, value in values.items():
-        if abs(value) >= bound:
+def _check_ints(values: Mapping[str, object], most: int | None = None, owner: str = "") -> None:
+    """The package's one integer rule: each of ``values`` is exactly an ``int``.
+
+    A value of another type raises InvalidParams naming ``owner`` and the field;
+    given ``most``, a value of more than ``most`` digits raises SizeLimitExceeded.
+    """
+    for name, number in values.items():
+        # type(), not isinstance(): True is no integer, as in a catalog file
+        if type(number) is not int:
+            raise InvalidParams(f"{owner}{name} must be an integer, got {number!r}")
+        if most is not None and abs(number) >= _BOUND[most]:
             raise SizeLimitExceeded(f"{name} has more than {most:,} digits; refused")
 
 
@@ -63,7 +71,9 @@ class LefschetzBase(Value):
 
     ``parameters`` may be given as a mapping or as ``(name, value)`` pairs; it
     is stored as a tuple of pairs in the order given, so bases are hashable.
-    A dim M or m of more than :data:`MAX_SIZE_DIGITS` digits is refused.
+    Every number must be an ``int`` (:func:`_check_ints`).  A dim M or m of
+    more than :data:`MAX_SIZE_DIGITS` digits is refused, as is a parameter
+    value of more than :data:`MAX_RANK_DIGITS`.
     """
 
     __slots__ = (
@@ -77,16 +87,19 @@ class LefschetzBase(Value):
         parameters: Mapping[str, int] | Iterable[tuple[str, int]] = (),
         chi_stable: bool = True,
     ) -> None:
+        params = dict(parameters)  # read once: a zip is spent by one pass
+        _check_ints({"dim_m": dim_m, "length_m": length_m, "rank_b": rank_b})
+        _check_ints(params, MAX_RANK_DIGITS, "parameter ")
         if length_m < 1:
             raise ValidationError(f"length_m must be >= 1, got {length_m}")
         if rank_b < 1:
             raise ValidationError(f"rank_b must be >= 1, got {rank_b}")
         if dim_m < 0:
             raise ValidationError(f"dim_m must be >= 0, got {dim_m}")
-        _check_digits(MAX_SIZE_DIGITS, _SIZE_BOUND, {"dim_m": dim_m, "length_m": length_m})
+        _check_ints({"dim_m": dim_m, "length_m": length_m}, MAX_SIZE_DIGITS)
         self._set(
             id, display_name, dim_m, length_m, rank_b, line_bundle_note,
-            omega_is_l_minus_m, tuple(dict(parameters).items()), chi_stable,
+            omega_is_l_minus_m, tuple(params.items()), chi_stable,
         )
 
     def param_key(self) -> tuple[int, ...]:
@@ -105,12 +118,12 @@ def fonarev_rank(k: int, n: int) -> int:
     C(n,k) is built factor by factor, and a rank over :data:`MAX_RANK_DIGITS`
     digits is refused once a partial product passes it (a longer k or n first).
     """
-    _check_digits(MAX_RANK_DIGITS, _RANK_BOUND, {"k": k, "n": n})
+    _check_ints({"k": k, "n": n}, MAX_RANK_DIGITS)
     if not (1 <= k < n):
         raise InvalidParams(f"need 1 <= k < n, got k={k}, n={n}")
     if gcd(k, n) != 1:
         raise InvalidParams(f"(k, n) must be coprime, got k={k}, n={n}")
-    limit = n * _RANK_BOUND
+    limit = n * _BOUND[MAX_RANK_DIGITS]
     binomial = 1
     for j in range(min(k, n - k)):
         binomial = binomial * (n - j) // (j + 1)
@@ -167,7 +180,7 @@ class Family(Value):
     def base(self, values: tuple[int, ...]) -> LefschetzBase:
         """The family's base at checked parameter values."""
         dim_m, m, rank = self.numbers(*values)
-        _check_digits(MAX_SIZE_DIGITS, _SIZE_BOUND, {"dim_m": dim_m, "length_m": m})
+        _check_ints({"dim_m": dim_m, "length_m": m}, MAX_SIZE_DIGITS)
         display, note = self.names(*values)
         return LefschetzBase(
             self.id, display, dim_m, m, rank, note,
@@ -336,11 +349,7 @@ def builtin(base_id: str, params: Mapping[str, int] | None = None) -> LefschetzB
     if family is None:
         raise UnknownBase(f"unknown base id {base_id!r}; builtins: {', '.join(BUILTIN_IDS)}")
     params = dict(params or {})
-    for name, value in params.items():
-        # type(), not isinstance(): True is no integer, as in a catalog file
-        if type(value) is not int:
-            raise InvalidParams(f"{base_id} parameter {name} must be an integer, got {value!r}")
-    _check_digits(MAX_RANK_DIGITS, _RANK_BOUND, params)
+    _check_ints(params, MAX_RANK_DIGITS, f"{base_id} parameter ")
     return family.base(family.values(params))
 
 

@@ -30,8 +30,8 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .autoeq import Generator, NormalForm
-from .catalog import LefschetzBase
-from .errors import DegreeOutOfRange, HypothesisViolation
+from .catalog import LefschetzBase, _check_ints
+from .errors import DegreeOutOfRange, HypothesisViolation, InvalidParams
 from .value import Value
 
 
@@ -42,6 +42,15 @@ class ConstructionKind(enum.Enum):
 
 
 ALL_KINDS: tuple[ConstructionKind, ...] = tuple(ConstructionKind)
+
+
+def _check_kind(kind: object, field: str = "kind") -> None:
+    """The package's one kind rule: ``kind`` is a ConstructionKind member, not its value.
+
+    Anything else raises InvalidParams naming ``field``.
+    """
+    if not isinstance(kind, ConstructionKind):
+        raise InvalidParams(f"{field} must be a ConstructionKind, got {kind!r}")
 
 
 class SubstitutionTable(Value):
@@ -73,6 +82,8 @@ class SubstitutionTable(Value):
 
 def check_case(kind: ConstructionKind, d: int, base: LefschetzBase) -> None:
     """Raise unless the construction of degree d exists on the base."""
+    _check_kind(kind)
+    _check_ints({"d": d})
     m = base.length_m
     if not 1 <= d <= m:
         raise DegreeOutOfRange(f"degree must satisfy 1 <= d <= {m}, got d={d}")

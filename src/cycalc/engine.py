@@ -35,8 +35,8 @@ from operator import attrgetter
 from typing import Iterator
 
 from .autoeq import Generator, NormalForm, resolve
-from .catalog import FAMILIES, LefschetzBase
-from .constructions import ALL_KINDS, ConstructionKind, check_case, substitution_table
+from .catalog import FAMILIES, LefschetzBase, _check_ints
+from .constructions import ALL_KINDS, ConstructionKind, _check_kind, check_case, substitution_table
 from .errors import (
     CycalcError, InvalidParams, NotPureShiftable, SizeLimitExceeded, UnknownBase,
 )
@@ -102,9 +102,9 @@ class CaseResult(Value):
 
 def serre_power(base: LefschetzBase, kind: ConstructionKind, d: int) -> NormalForm:
     """Resolve the (d/c)-th Serre power through word algebra."""
+    table = substitution_table(kind, d, base)  # checks the case before gcd reads d
     m = base.length_m
     c = gcd(d, m)
-    table = substitution_table(kind, d, base)
     factors = ((Generator.COMP_TWIST, -(m // c)), (Generator.SERRE_TWIST, d // c))
     return resolve(factors, table.entries)
 
@@ -134,6 +134,7 @@ def extract_witness(nf: NormalForm, q0: int) -> FractionalCYWitness:
     the property at exponent 2*q0.  A nonzero line twist cannot be removed by
     taking powers and is rejected.
     """
+    _check_ints({"q0": q0})
     if q0 < 1:
         raise ValueError(f"q0 must be positive, got {q0}")
     if nf.ltwist != 0:
@@ -191,12 +192,16 @@ class SweepBounds(Value):
     cases duplicate double-cover numerics with a character in place of the
     involution and are opt-in.  Weighted projective bases are likewise opt-in
     (all-ones weights duplicate ``pn`` and the weighted family is infinite in
-    spirit) and run up to weight sum ``max_weight_sum``.  ``kinds`` keeps the
-    ``ALL_KINDS`` members it names, once each and in ``ALL_KINDS`` order (the
-    order windows sweep them in); a ``kinds`` naming none is refused.  Every
-    id in ``families`` must select something: it is a builtin family or an
-    ``extra_bases`` id, and ``wpn`` needs ``include_weighted``; an empty
-    ``families`` is refused too.
+    spirit) and run up to weight sum ``max_weight_sum``.  The three bounds must
+    be ``int``s.  ``kinds`` is a collection of ``ConstructionKind`` members,
+    read once, so an iterator works; it is stored as the members it names,
+    once each and in ``ALL_KINDS`` order (the order windows sweep them in).  A
+    ``kinds`` naming no member is refused, and so is one holding anything but
+    a member, such as the name ``"cover"``: nothing is dropped silently.  A
+    bare string for ``kinds`` or ``families`` is refused rather than read
+    letter by letter.  Every id in ``families`` must select something: it is
+    a builtin family or an ``extra_bases`` id, and ``wpn`` needs
+    ``include_weighted``; an empty ``families`` is refused too.
     """
 
     __slots__ = (
@@ -213,13 +218,19 @@ class SweepBounds(Value):
         families: tuple[str, ...] | None = None,
         extra_bases: tuple[LefschetzBase, ...] = (),
     ) -> None:
-        named = set(kinds)
+        _check_ints({"max_n": max_n, "max_s": max_s, "max_weight_sum": max_weight_sum})
+        for field, names in (("kinds", kinds), ("families", families)):
+            if isinstance(names, str):
+                raise InvalidParams(f"{field} must be a collection, not the string {names!r}")
+        named = tuple(kinds)
         self._set(
             max_n, max_s, max_weight_sum, include_weighted,
             tuple(kind for kind in ALL_KINDS if kind in named), families, extra_bases,
         )
         if not self.kinds:
             raise InvalidParams("at least one construction kind is required")
+        for kind in named:
+            _check_kind(kind, "every entry of kinds")
         if self.families is None:
             return
         if not self.families:
@@ -294,6 +305,8 @@ def sweep(
     """
     bounds = bounds or SweepBounds()
     if cy_dim is not None:
+        if not isinstance(cy_dim, Fraction):
+            _check_ints({"cy_dim": cy_dim}, owner="a non-Fraction ")
         cy_dim = Fraction(cy_dim)
         integer_only = integer_only or cy_dim.denominator == 1
     filtered = cy_dim is not None or integer_only

@@ -40,7 +40,7 @@ from math import gcd
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
-from .catalog import LefschetzBase
+from .catalog import LefschetzBase, _check_ints
 from .constructions import ConstructionKind
 from .engine import CaseResult
 from .errors import (
@@ -77,7 +77,9 @@ class PoincareSeries(Value):
 def _validate_weights(weights: Sequence[int], degree: int) -> None:
     if not weights:
         raise InvalidWeights("weight list must be nonempty")
+    _check_ints({"degree": degree})
     for w in weights:
+        _check_ints({"weight": w})
         if w < 1:
             raise InvalidWeights(f"weights must be positive, got {w}")
         if degree % w != 0:
@@ -270,6 +272,7 @@ def hh_component(hh_x: HHProfile, base: LefschetzBase, d: int) -> HHProfile:
     Homology is additive over semiorthogonal decompositions and each of the
     m - d exceptional blocks contributes rank_b in degree 0.
     """
+    _check_ints({"d": d})
     blocks = (base.length_m - d) * base.rank_b
     if blocks < 0:
         raise NegativeDimension(f"degree {d} exceeds the decomposition length")

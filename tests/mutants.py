@@ -88,7 +88,7 @@ MUTANTS = (
     ),
     (
         "src/cycalc/catalog.py",
-        '_check_digits(MAX_SIZE_DIGITS, _SIZE_BOUND, {"dim_m": dim_m, "length_m": m})',
+        '_check_ints({"dim_m": dim_m, "length_m": m}, MAX_SIZE_DIGITS)',
         "pass",
         "a row formats its names before checking the sizes",
     ),
@@ -139,6 +139,24 @@ MUTANTS = (
         "serre = NormalForm(shift=n, ltwist=d - m)",
         "serre = NormalForm(shift=n + 1, ltwist=d - m)",
         "the cover Serre entry's shift is off by one",
+    ),
+    (
+        "src/cycalc/catalog.py",
+        "if type(number) is not int:",
+        "if not isinstance(number, int):",
+        "the integer rule admits a bool",
+    ),
+    (
+        "src/cycalc/constructions.py",
+        "_check_kind(kind)",
+        "pass",
+        "a case of a kind that is no ConstructionKind falls through to the root branch",
+    ),
+    (
+        "src/cycalc/engine.py",
+        '_check_kind(kind, "every entry of kinds")',
+        "pass",
+        "a sweep window drops a kinds entry that is no ConstructionKind silently",
     ),
 )
 
